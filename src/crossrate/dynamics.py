@@ -158,19 +158,18 @@ def process_noise_cov(dt: float, model: MotionModel) -> np.ndarray:
     return q
 
 
-def _input_weights(dt: float, omega: float) -> tuple[float, float, float]:
-    """Weights turning a unit-amplitude sinusoidal jerk into state increments.
+def _input_weights(dt: float, omega: float) -> tuple[float, float, float, float]:
+    """Moment integrals of a unit sinusoidal jerk over one step of length dt.
 
-    Returns (w_pos, w_vel, w_acc) such that for jerk b sin(omega t) acting
-    over [t0, t0 + dt] the increments are b * w evaluated with the phase
-    terms below.  Caller supplies the phase; these are the antiderivative
-    kernels as functions of dt only.
+    Returns (c1, s1, c2, s2) with c_k = int_0^dt s^k/k! cos(omega s) ds and
+    s_k = int_0^dt s^k/k! sin(omega s) ds.  input_increment combines them
+    with the phase at the step's end into the velocity (k = 1) and
+    position (k = 2) increments; they depend on dt and omega only.
     """
     w = omega
     wt = w * dt
     sin_wt = math.sin(wt)
     cos_wt = math.cos(wt)
-    # int_0^dt s^k/k! * {cos, sin}(omega s) ds for k = 1, 2
     c1 = (cos_wt - 1.0) / w**2 + dt * sin_wt / w
     s1 = sin_wt / w**2 - dt * cos_wt / w
     c2 = (dt**2 / (2 * w)) * sin_wt + (dt / w**2) * cos_wt - sin_wt / w**3

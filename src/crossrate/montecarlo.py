@@ -1,20 +1,26 @@
 """Seeded Monte-Carlo ground truth.
 
-Trajectories are sampled from the initial-state Gaussian, propagated
+Trajectories are sampled from the initial-state Gaussian and propagated
 with the exact discrete-time dynamics plus exact process-noise
-increments, and every boundary crossing of each position chord is
-recorded.  Histograms of first-entry times form the empirical collision
-probability rate; entry multiplicities quantify bound saturation.
+increments.  Campaigns stream each batch through the horizon a chunk of
+steps at a time: noise for the chunk is drawn into reused buffers, the
+chunk's position chords are checked against the four sides at once, and
+the batch's entries are reduced to integer counts (first-entry and
+all-entry histograms, entry multiplicities) before the next batch runs.
+Memory is therefore bounded per worker thread, whatever the trajectory
+count or horizon.  simulate_trajectory runs the same kernel for one
+trajectory and keeps its crossings as events.
 
 Per-trajectory noise comes from counter-based Philox streams keyed by
 (campaign seed, trajectory id), so results are bit-identical regardless
-of batching or thread count.
+of batching, step chunking or thread count.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from .gaussian import psd_factor
 from .geometry import SEGMENT_ORDER, CrossingEvent, HostRectangle, segments
 
 _BATCH_SIZE = 4096  # fixed by the algorithm, not by the thread count
+_STEP_CHUNK = 64  # steps of noise held per batch at once; bounds memory only
 
 
 @dataclass(frozen=True)
@@ -168,108 +175,146 @@ def _step_kernel(config: ScenarioConfig):
     return phi_t, chol_q_t, u
 
 
-def _detect_batch_crossings(p_prev, p_new, rect, t_prev, dt, events_out, traj_ids):
-    """Vectorized crossing detection for one step of a batch.
+class _Crossings(NamedTuple):
+    """Boundary crossings of a batch, one array element per crossing."""
 
-    Appends (traj_id, time, fraction, segment, point, kind) tuples for
-    every chord that crosses one of the four sides within its span.
+    row: np.ndarray  # trajectory row within the batch
+    time: np.ndarray  # step * dt + fraction * dt
+    fraction: np.ndarray  # position of the crossing along the chord, in [0, 1)
+    segment: np.ndarray  # index into SEGMENT_ORDER
+    entry: np.ndarray  # True for an inward crossing, False for an outward one
+    tangent: np.ndarray  # crossing coordinate along the segment
+
+    def select(self, index) -> _Crossings:
+        return _Crossings(*(a[index] for a in self))
+
+    def ordered(self, keep: np.ndarray) -> _Crossings:
+        """The kept crossings sorted by (row, time, fraction, segment).
+
+        Equal time and fraction means the same chord, so a corner hit is
+        ordered by segment, as the sides are checked in that order.
+        """
+        kept = self.select(keep)
+        return kept.select(np.lexsort((kept.segment, kept.fraction, kept.time, kept.row)))
+
+
+def _detect_chunk_crossings(pos: np.ndarray, rect: HostRectangle, k0: int, dt: float):
+    """Vectorized crossing detection over a chunk of steps.
+
+    `pos` is (m + 1, b, 2): the positions before the chunk's first step
+    followed by the position after each step.  A chord crosses a side when
+    the pinned coordinate reaches the side's line at a fraction s in
+    [0, 1) of the chord, the tangent coordinate lies in the side's span,
+    and the chord is not parallel to the side.
     """
-    x0, y0 = p_prev[:, 0], p_prev[:, 1]
-    x1, y1 = p_new[:, 0], p_new[:, 1]
-    for seg in segments(rect):
-        if seg.axis == "x":
-            a0, a1, b0, b1 = x0, x1, y0, y1
-        else:
-            a0, a1, b0, b1 = y0, y1, x0, x1
+    p0, p1 = pos[:-1], pos[1:]
+    found = []
+    for si, seg in enumerate(segments(rect)):
+        a = 0 if seg.axis == "x" else 1
+        a0, a1 = p0[..., a], p1[..., a]
+        b0, b1 = p0[..., 1 - a], p1[..., 1 - a]
         da = a1 - a0
         with np.errstate(divide="ignore", invalid="ignore"):
             s = (seg.coord - a0) / da
-        hit = (da != 0.0) & (s >= 0.0) & (s < 1.0)
-        if not np.any(hit):
-            continue
-        idx = np.nonzero(hit)[0]
-        sv = s[idx]
-        tangent = b0[idx] + sv * (b1[idx] - b0[idx])
-        in_span = (tangent >= seg.t_lo) & (tangent <= seg.t_hi)
-        if not np.any(in_span):
-            continue
-        idx = idx[in_span]
-        sv = sv[in_span]
-        tangent = tangent[in_span]
-        d_vec = p_new[idx] - p_prev[idx]
+        step, row = np.nonzero((da != 0.0) & (s >= 0.0) & (s < 1.0))
+        sv = s[step, row]
+        tangent = b0[step, row] + sv * (b1[step, row] - b0[step, row])
+        d_vec = p1[step, row] - p0[step, row]
         inward = d_vec[:, 0] * seg.normal[0] + d_vec[:, 1] * seg.normal[1]
-        for j, i in enumerate(idx):
-            if inward[j] == 0.0:
-                continue
-            kind = "entry" if inward[j] > 0.0 else "exit"
-            events_out.append(
-                (
-                    int(traj_ids[i]),
-                    t_prev + sv[j] * dt,
-                    float(sv[j]),
-                    seg.name,
-                    seg.point_at(float(tangent[j])),
-                    kind,
-                )
+        keep = (tangent >= seg.t_lo) & (tangent <= seg.t_hi) & (inward != 0.0)
+        sv = sv[keep]
+        found.append(
+            (
+                row[keep],
+                (step[keep] + k0) * dt + sv * dt,
+                sv,
+                np.full(len(sv), si),
+                inward[keep] > 0.0,
+                tangent[keep],
             )
+        )
+    return found
 
 
-def _simulate_batch(
-    config: ScenarioConfig,
-    traj_ids: np.ndarray,
-    cov_factor: np.ndarray,
-    kernel,
-    x0_override: np.ndarray | None = None,
-    noise_override: np.ndarray | None = None,
-) -> list[CollisionRecord]:
-    """Simulate a batch of trajectories to the horizon, capture crossings."""
+def _stream_crossings(
+    config: ScenarioConfig, x: np.ndarray, rngs: list[np.random.Generator], kernel
+) -> _Crossings:
+    """Propagate a batch to the horizon and return all its crossings.
+
+    `x` (b, 6) holds the initial states and `rngs` one generator per row,
+    already past its initial-state draw.  Noise is drawn and transformed
+    _STEP_CHUNK steps at a time into reused buffers, so memory does not
+    grow with the horizon; each generator yields the same stream it would
+    in one draw of the whole horizon.
+    """
     phi_t, chol_q_t, u = kernel
     n_steps = config.n_steps
     dt = config.sim_step
+    chunk = min(_STEP_CHUNK, n_steps)
+    b = len(x)
+    z = np.empty((b, chunk, 6))
+    w = np.empty((b, chunk, 6))
+    pos = np.empty((chunk + 1, b, 2))
+    pos[0] = x[:, :2]
+    found = []
+    for k0 in range(0, n_steps, chunk):
+        m = min(chunk, n_steps - k0)
+        for j, rng in enumerate(rngs):
+            rng.standard_normal(out=z[j, :m])
+        np.matmul(z[:, :m], chol_q_t, out=w[:, :m])
+        for i in range(m):
+            x = x @ phi_t
+            x += u[k0 + i]
+            x += w[:, i]
+            pos[i + 1] = x[:, :2]
+        found.extend(_detect_chunk_crossings(pos[: m + 1], config.rect, k0, dt))
+        pos[0] = pos[m]
+    return _Crossings(*(np.concatenate(parts) for parts in zip(*found)))
+
+
+def _simulate_batch(
+    config: ScenarioConfig, traj_ids: np.ndarray, cov_factor: np.ndarray, kernel
+):
+    """Simulate a batch of trajectories and reduce its entries to counts.
+
+    Returns (first, all, boundary, multiplicity): first- and all-entry
+    counts per bin as (5, n_bins) arrays with rows total then
+    SEGMENT_ORDER, first-entry totals per segment, and the number of
+    trajectories with each entry count (index 0 = no entry).
+    """
+    n_bins = config.n_bins
+    n_seg = len(SEGMENT_ORDER)
     b = len(traj_ids)
+    rngs = [_traj_rng(config.seed, int(tid)) for tid in traj_ids]
+    mean = config.initial_mean.as_array()
+    x = np.empty((b, 6))
+    for j, rng in enumerate(rngs):
+        x[j] = mean + cov_factor @ rng.standard_normal(6)
+    crossings = _stream_crossings(config, x, rngs, kernel)
+    ev = crossings.ordered(crossings.entry & (crossings.time <= config.horizon))
 
-    if x0_override is not None:
-        x = x0_override.copy()
-        w = noise_override
-    else:
-        x = np.empty((b, 6))
-        z = np.empty((b, n_steps, 6))
-        mean = config.initial_mean.as_array()
-        for j, tid in enumerate(traj_ids):
-            rng = _traj_rng(config.seed, int(tid))
-            x[j] = mean + cov_factor @ rng.standard_normal(6)
-            z[j] = rng.standard_normal((n_steps, 6))
-        w = z @ chol_q_t
+    first = np.ones(len(ev.row), dtype=bool)
+    first[1:] = ev.row[1:] != ev.row[:-1]
+    if config.terminate_on_entry:
+        ev = ev.select(first)
+        first = first[first]
+    bins = np.minimum((ev.time / config.bin_width).astype(np.int64), n_bins - 1)
+    # first entry of each trajectory through each segment
+    _, seg_first = np.unique(ev.row * n_seg + ev.segment, return_index=True)
 
-    raw_events: list[tuple] = []
-    p_prev = x[:, :2].copy()
-    for k in range(n_steps):
-        x = x @ phi_t
-        x += u[k]
-        x += w[:, k, :]
-        _detect_batch_crossings(
-            p_prev, x[:, :2], config.rect, k * dt, dt, raw_events, traj_ids
-        )
-        p_prev = x[:, :2].copy()
+    def per_segment(idx):
+        flat = ev.segment[idx] * n_bins + bins[idx]
+        return np.bincount(flat, minlength=n_seg * n_bins).reshape(n_seg, n_bins)
 
-    raw_events.sort(key=lambda e: (e[0], e[1], e[2]))
-    by_traj: dict[int, list[CrossingEvent]] = {}
-    for tid, t_ev, _frac, seg_name, point, kind in raw_events:
-        if t_ev > config.horizon:
-            continue
-        by_traj.setdefault(tid, []).append(CrossingEvent(t_ev, seg_name, point, kind))
-
-    records = []
-    for tid in traj_ids:
-        events = by_traj.get(int(tid), [])
-        if config.terminate_on_entry:
-            cut = next(
-                (i for i, ev in enumerate(events) if ev.kind == "entry"), None
-            )
-            if cut is not None:
-                events = events[: cut + 1]
-        records.append(CollisionRecord(int(tid), tuple(events)))
-    return records
+    first_counts = np.vstack(
+        [np.bincount(bins[first], minlength=n_bins), per_segment(seg_first)]
+    )
+    all_counts = np.vstack(
+        [np.bincount(bins, minlength=n_bins), per_segment(slice(None))]
+    )
+    boundary = np.bincount(ev.segment[first], minlength=n_seg)
+    multiplicity = np.bincount(np.bincount(ev.row, minlength=b))
+    return first_counts, all_counts, boundary, multiplicity
 
 
 def simulate_trajectory(
@@ -280,23 +325,19 @@ def simulate_trajectory(
     Noise increments are drawn from `rng` in the same order the campaign
     uses, so run_campaign with n_traj=1 reproduces this exactly.
     """
-    kernel = _step_kernel(config)
-    z = rng.standard_normal((config.n_steps, 6))
-    w = (z @ kernel[1])[np.newaxis, :, :]
-    recs = _simulate_batch(
-        config,
-        np.array([0]),
-        cov_factor=np.zeros((6, 6)),
-        kernel=kernel,
-        x0_override=x0.as_array()[np.newaxis, :],
-        noise_override=w,
+    crossings = _stream_crossings(
+        config, x0.as_array()[np.newaxis, :], [rng], _step_kernel(config)
     )
-    return recs[0]
-
-
-def _bin_index(t: float, bin_width: float, n_bins: int) -> int:
-    i = int(t / bin_width)
-    return min(i, n_bins - 1)
+    ev = crossings.ordered(crossings.time <= config.horizon)
+    sides = segments(config.rect)
+    events = []
+    for t, si, is_entry, tangent in zip(ev.time, ev.segment, ev.entry, ev.tangent):
+        seg = sides[si]
+        kind = "entry" if is_entry else "exit"
+        events.append(CrossingEvent(float(t), seg.name, seg.point_at(float(tangent)), kind))
+        if is_entry and config.terminate_on_entry:
+            break
+    return CollisionRecord(0, tuple(events))
 
 
 def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
@@ -304,39 +345,26 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
 
     Trajectories continue past their first entry so higher-order entries
     are observable; first-entry statistics are extracted afterwards.
-    With terminate_on_entry the simulation stops at the first entry.
+    With terminate_on_entry only each trajectory's first entry counts.
     """
     cov_factor = psd_factor(config.resolve_initial_cov())
     kernel = _step_kernel(config)
     n_bins = config.n_bins
+    n_seg = len(SEGMENT_ORDER)
     edges = np.arange(n_bins + 1) * config.bin_width
 
-    keys = ["total", *SEGMENT_ORDER]
-    first_counts = {k: np.zeros(n_bins, dtype=np.int64) for k in keys}
-    all_counts = {k: np.zeros(n_bins, dtype=np.int64) for k in keys}
+    first_counts = np.zeros((n_seg + 1, n_bins), dtype=np.int64)
+    all_counts = np.zeros((n_seg + 1, n_bins), dtype=np.int64)
+    boundary = np.zeros(n_seg, dtype=np.int64)
     multiplicity: dict[int, int] = {}
-    first_boundary_totals = {k: 0 for k in SEGMENT_ORDER}
 
-    def process(records: list[CollisionRecord]):
-        for rec in records:
-            n_ent = rec.n_entries_host
-            if n_ent > 0:
-                multiplicity[n_ent] = multiplicity.get(n_ent, 0) + 1
-            first = rec.first_entry
-            if first is not None:
-                bi = _bin_index(first.time, config.bin_width, n_bins)
-                first_counts["total"][bi] += 1
-                first_boundary_totals[first.segment] += 1
-            seen_first_seg: set[str] = set()
-            for ev in rec.events:
-                if ev.kind != "entry":
-                    continue
-                bi = _bin_index(ev.time, config.bin_width, n_bins)
-                all_counts["total"][bi] += 1
-                all_counts[ev.segment][bi] += 1
-                if ev.segment not in seen_first_seg:
-                    seen_first_seg.add(ev.segment)
-                    first_counts[ev.segment][bi] += 1
+    def process(counts):
+        first, all_, bnd, mult = counts
+        first_counts[:] += first
+        all_counts[:] += all_
+        boundary[:] += bnd
+        for k in np.nonzero(mult[1:])[0] + 1:
+            multiplicity[int(k)] = multiplicity.get(int(k), 0) + int(mult[k])
 
     batches = [
         np.arange(lo, min(lo + _BATCH_SIZE, config.n_traj))
@@ -349,12 +377,13 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # merge strictly in batch order: results independent of schedule
-            for records in pool.map(run_batch, batches):
-                process(records)
+            for counts in pool.map(run_batch, batches):
+                process(counts)
     else:
         for ids in batches:
             process(run_batch(ids))
 
+    first_boundary_totals = {k: int(v) for k, v in zip(SEGMENT_ORDER, boundary)}
     n_collided = sum(multiplicity.values())
     entry_stats = {
         "n_traj": config.n_traj,
@@ -368,11 +397,12 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
             k: v / config.n_traj for k, v in first_boundary_totals.items()
         },
     }
+    keys = ["total", *SEGMENT_ORDER]
     histogram = RateHistogram(
         bin_edges=edges,
         n_traj=config.n_traj,
-        first_entry_counts=first_counts,
-        all_entry_counts=all_counts,
+        first_entry_counts=dict(zip(keys, first_counts)),
+        all_entry_counts=dict(zip(keys, all_counts)),
     )
     return CampaignResult(histogram=histogram, entry_stats=entry_stats, n_traj=config.n_traj)
 

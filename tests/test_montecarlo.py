@@ -1,9 +1,14 @@
 """Monte-Carlo oracle: sampling, trajectory simulation, campaigns, TTC draws."""
 import dataclasses
 import math
+import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossrate import (
     CollisionRecord,
@@ -20,8 +25,9 @@ from crossrate import (
     simulate_trajectory,
     ttc_monte_carlo,
 )
+from crossrate import montecarlo
 from crossrate.errors import ConfigError
-from crossrate.geometry import CrossingEvent
+from crossrate.geometry import SEGMENT_ORDER, CrossingEvent
 from crossrate.montecarlo import _traj_rng
 
 CA_MODEL = MotionModel(qx=0.0, qy=0.0)
@@ -222,6 +228,128 @@ class TestRunCampaign:
         )
         emp_sd = x.std(axis=0)
         assert np.all(np.abs(emp_sd - sd) < 0.1 * sd)
+
+
+def assert_same_campaign(a, b):
+    assert a.entry_stats == b.entry_stats
+    for counts in ("first_entry_counts", "all_entry_counts"):
+        ca, cb = getattr(a.histogram, counts), getattr(b.histogram, counts)
+        assert ca.keys() == cb.keys()
+        for key in ca:
+            np.testing.assert_array_equal(ca[key], cb[key])
+
+
+def counts_from_records(cfg):
+    """Campaign counts rebuilt one trajectory at a time from event records."""
+    n_bins = cfg.n_bins
+    keys = ["total", *SEGMENT_ORDER]
+    first = {k: np.zeros(n_bins, dtype=np.int64) for k in keys}
+    all_ = {k: np.zeros(n_bins, dtype=np.int64) for k in keys}
+    multiplicity = Counter()
+    boundary = dict.fromkeys(SEGMENT_ORDER, 0)
+
+    def bin_of(ev):
+        return min(int(ev.time / cfg.bin_width), n_bins - 1)
+
+    for i in range(cfg.n_traj):
+        rng = _traj_rng(cfg.seed, i)
+        rec = simulate_trajectory(sample_initial(cfg, rng), cfg, rng)
+        entries = [ev for ev in rec.events if ev.kind == "entry"]
+        if not entries:
+            continue
+        multiplicity[len(entries)] += 1
+        first["total"][bin_of(entries[0])] += 1
+        boundary[entries[0].segment] += 1
+        seen = set()
+        for ev in entries:
+            all_["total"][bin_of(ev)] += 1
+            all_[ev.segment][bin_of(ev)] += 1
+            if ev.segment not in seen:
+                seen.add(ev.segment)
+                first[ev.segment][bin_of(ev)] += 1
+    return first, all_, dict(sorted(multiplicity.items())), boundary
+
+
+# target weaving across the right side: a lateral jerk b2 sin(3t), with the
+# initial acceleration cancelling its drift, so most trajectories re-enter
+WEAVING = dict(
+    initial_mean=StateVector(0.1, 1.7, -0.5, 0.0, 0.0, -20.0 / 3.0),
+    model=MotionModel(qx=0.0101, qy=0.0101, b2=20.0, omega=3.0, input_enabled=True),
+)
+
+
+class TestCountPathMatchesEventPath:
+    """run_campaign's in-place counts equal counts of simulate_trajectory records."""
+
+    @pytest.mark.parametrize(
+        "preset, overrides, threads",
+        [
+            ("front", {}, 1),
+            ("front-right", {}, 2),
+            ("front", WEAVING, 1),
+            ("front", {**WEAVING, "terminate_on_entry": True}, 2),
+            ("front", {**WEAVING, "horizon": 2.46, "sim_step": 0.05}, 1),
+        ],
+        ids=["front", "front-right", "re-entries", "terminate-on-entry", "partial-last-step"],
+    )
+    def test_parity(self, preset, overrides, threads):
+        cfg = preset_config(preset, n_traj=48, seed=31, **overrides)
+        cfg = dataclasses.replace(cfg, initial_cov=cfg.resolve_initial_cov())
+        first, all_, multiplicity, boundary = counts_from_records(cfg)
+        res = run_campaign(cfg, threads=threads)
+        assert sum(multiplicity.values()) > 0
+        assert res.entry_stats["multiplicity_counts"] == multiplicity
+        assert res.entry_stats["first_entry_boundary_totals"] == boundary
+        for key in first:
+            np.testing.assert_array_equal(res.histogram.first_entry_counts[key], first[key])
+            np.testing.assert_array_equal(res.histogram.all_entry_counts[key], all_[key])
+
+    def test_weaving_target_reenters(self):
+        cfg = preset_config("front", n_traj=48, seed=31, **WEAVING)
+        assert max(run_campaign(cfg).entry_stats["multiplicity_counts"]) >= 2
+
+
+def test_campaign_memory_does_not_grow_with_horizon():
+    """One full batch: noise is held a step chunk at a time, not per horizon."""
+
+    def peak_bytes(horizon):
+        cfg = preset_config("front", n_traj=4096, horizon=horizon)
+        cfg = dataclasses.replace(cfg, initial_cov=cfg.resolve_initial_cov())
+        tracemalloc.start()
+        try:
+            run_campaign(cfg, threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(4.0), peak_bytes(8.0)
+    assert long < 64 * 2**20
+    assert long <= 1.1 * short
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    batch_size=st.integers(1, 5),
+    step_chunk=st.integers(1, 9),
+    n_traj=st.integers(1, 12),
+    threads=st.integers(1, 3),
+    terminate=st.booleans(),
+)
+def test_results_independent_of_batching(batch_size, step_chunk, n_traj, threads, terminate):
+    cfg = preset_config(
+        "front",
+        n_traj=n_traj,
+        horizon=3.1,
+        sim_step=0.02,
+        seed=5,
+        terminate_on_entry=terminate,
+        **WEAVING,
+    )
+    reference = run_campaign(cfg)
+    with mock.patch.object(montecarlo, "_BATCH_SIZE", batch_size), mock.patch.object(
+        montecarlo, "_STEP_CHUNK", step_chunk
+    ):
+        assert_same_campaign(run_campaign(cfg, threads=threads), reference)
 
 
 class TestTtcMonteCarlo:
