@@ -33,6 +33,7 @@ from .geometry import (
     ChordCrossing,
     CrossingEvent,
     HostRectangle,
+    chord_crossings,
     detect_crossings,
     segments,
     to_segment_frame,
@@ -58,12 +59,11 @@ from .montecarlo import (
     CampaignResult,
     CollisionRecord,
     RateHistogram,
-    ScenarioConfig,
     run_campaign,
     sample_initial,
     simulate_trajectory,
     ttc_monte_carlo,
 )
-from .scenarios import build_config, load_config, preset_config
+from .scenarios import ScenarioConfig, build_config, load_config, preset_config
 
 __version__ = "0.1.0"

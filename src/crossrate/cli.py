@@ -24,8 +24,9 @@ from . import __version__
 from .dynamics import SalientOffset, predict_density, salient_transform_density
 from .errors import ConfigError, NumericsError
 from .gaussian import GaussianDensity
+from .geometry import SEGMENT_ORDER
 from .intensity import METHODS, total_intensity
-from .montecarlo import ScenarioConfig, run_campaign, ttc_monte_carlo
+from .montecarlo import run_campaign, ttc_monte_carlo
 from .probability import (
     adaptive_sample,
     deterministic_ttc_seeds,
@@ -33,9 +34,7 @@ from .probability import (
     spatial_overlap_probability,
     RateCurve,
 )
-from .scenarios import PRESETS, build_config, config_as_dict, load_config, preset_config
-
-_SEGMENTS = ("front", "right", "left", "rear")
+from .scenarios import PRESETS, ScenarioConfig, config_as_dict, load_config, preset_config
 
 
 def _fmt(x) -> str:
@@ -112,7 +111,7 @@ def _manifest(args, config, outputs: dict[str, str], started: float, extra=None)
 
 def _curve_rows(curve: RateCurve):
     for s in curve.samples:
-        yield [s.t, s.mu_plus] + [s.per_segment.get(n, 0.0) for n in _SEGMENTS]
+        yield [s.t, s.mu_plus] + [s.per_segment.get(n, 0.0) for n in SEGMENT_ORDER]
 
 
 _CURVE_HEADER = ["t_s", "mu_total", "mu_front", "mu_right", "mu_left", "mu_rear"]
@@ -145,16 +144,16 @@ def cmd_simulate(args) -> int:
     for i in range(len(hist.bin_edges) - 1):
         row = [hist.bin_edges[i], hist.bin_mid[i]]
         row.append(hist.first_entry_rate("total")[i])
-        row.extend(hist.first_entry_rate(n)[i] for n in _SEGMENTS)
+        row.extend(hist.first_entry_rate(n)[i] for n in SEGMENT_ORDER)
         row.append(hist.all_entry_rate("total")[i])
-        row.extend(hist.all_entry_rate(n)[i] for n in _SEGMENTS)
+        row.extend(hist.all_entry_rate(n)[i] for n in SEGMENT_ORDER)
         row.append(cumulative[i])
         rows.append(row)
     header = (
         ["bin_start_s", "bin_mid_s", "first_entry_rate_total"]
-        + [f"first_entry_rate_{n}" for n in _SEGMENTS]
+        + [f"first_entry_rate_{n}" for n in SEGMENT_ORDER]
         + ["all_entry_rate_total"]
-        + [f"all_entry_rate_{n}" for n in _SEGMENTS]
+        + [f"all_entry_rate_{n}" for n in SEGMENT_ORDER]
         + ["integrated_probability"]
     )
     hist_path = out / "histogram.csv"
@@ -307,7 +306,6 @@ def cmd_salient(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {}
-    methods = ("quadrature", "taylor0", "taylor1_inv", "taylor1_cov")
     for idx, off in enumerate(offsets):
         rows = []
         for t in ts:
@@ -315,11 +313,11 @@ def cmd_salient(args) -> int:
             g_t = predict_density(g0, t, config.model)
             g_s = salient_transform_density(g_t, off, config.model, t)
             row = [t]
-            for method in methods:
+            for method in METHODS:
                 row.append(total_intensity(g_s, config.rect, t, method).mu_plus)
             rows.append(row)
         path = out / f"salient_{idx}.csv"
-        _write_csv(path, ["t_s"] + [f"mu_total_{m}" for m in methods], rows)
+        _write_csv(path, ["t_s"] + [f"mu_total_{m}" for m in METHODS], rows)
         outputs[f"salient_{idx}"] = str(path)
     manifest_path = out / "manifest.json"
     _write_json(

@@ -1,13 +1,15 @@
 """Host-vehicle rectangle geometry.
 
 Four oriented boundary segments with inward normals, the rigid rotation
-that maps any segment onto the front-boundary configuration, and
-chord/segment crossing detection for Monte-Carlo trajectories.
+that maps any segment onto the front-boundary configuration, and the one
+crossing detector, chord_crossings: it checks arrays of chords against
+all four sides at once, the Monte-Carlo oracle runs it on every step of
+every trajectory, and detect_crossings is its one-chord view.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,7 +17,6 @@ from .gaussian import GaussianDensity, symmetrize
 
 SEGMENT_ORDER = ("front", "right", "left", "rear")
 
-_POINT_TOL = 1e-9
 _CORNER_TOL = 1e-12
 
 
@@ -150,52 +151,74 @@ def to_segment_frame(g: GaussianDensity, seg: BoundarySegment) -> GaussianDensit
     return GaussianDensity(t @ g.mean, symmetrize(t @ g.cov @ t.T))
 
 
-def detect_crossings(p0, p1, rect: HostRectangle) -> list[ChordCrossing]:
-    """Crossings of the chord p0 -> p1 against all four sides.
+class ChordCrossings(NamedTuple):
+    """Crossings of a batch of chords, one array element per crossing."""
 
-    Events are ordered by fraction along the chord and labeled entry/exit
-    by the chord direction against the inward normal.  Corner contacts
-    resolve to a single event with front > right > left > rear priority.
+    chord: np.ndarray  # index of the chord in the input arrays
+    fraction: np.ndarray  # position along the chord, in [0, 1)
+    segment: np.ndarray  # index into SEGMENT_ORDER
+    entry: np.ndarray  # True for an inward crossing, False for an outward one
+    tangent: np.ndarray  # crossing coordinate along the segment
+
+    def select(self, index) -> ChordCrossings:
+        return ChordCrossings(*(a[index] for a in self))
+
+
+def chord_crossings(p0, p1, rect: HostRectangle) -> ChordCrossings:
+    """Crossings of the chords p0[i] -> p1[i], (n, 2) arrays, with all sides.
+
+    A chord crosses a side when the side's pinned coordinate is reached
+    at a fraction s of the chord with 0 <= s < 1, the tangent coordinate
+    lies in the side's closed span, and the chord is not parallel to the
+    side; it is an entry when it moves along the side's inward normal.
+    The interval is half-open so that a polyline vertex lying on a side
+    is counted once, by the chord that starts there.
+
+    Corner rule: two crossings of one chord within _CORNER_TOL of each
+    other in s meet at a corner.  Both entries or both exits give one
+    event, from the side first in SEGMENT_ORDER (front > right > left >
+    rear); an entry with an exit is a diagonal graze that touches a
+    single point without entering the interior, and gives none.
+
+    Crossings are returned ordered by (chord, fraction, segment).
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    d = p1 - p0
-    if d[0] == 0.0 and d[1] == 0.0:
-        return []
-    found: list[ChordCrossing] = []
-    for seg in segments(rect):
-        ai = 0 if seg.axis == "x" else 1
-        ti = 1 - ai
-        if d[ai] == 0.0:
-            continue
-        s = (seg.coord - p0[ai]) / d[ai]
-        if not 0.0 <= s <= 1.0:
-            continue
-        tangent = p0[ti] + s * d[ti]
-        if not seg.t_lo <= tangent <= seg.t_hi:
-            continue
-        inward = d[0] * seg.normal[0] + d[1] * seg.normal[1]
-        if inward == 0.0:
-            continue
-        kind = "entry" if inward > 0.0 else "exit"
-        found.append(ChordCrossing(s, seg.name, seg.point_at(tangent), kind))
-    # stable sort keeps priority order among corner ties
-    found.sort(key=lambda ev: ev.fraction)
-    deduped: list[ChordCrossing] = []
-    for ev in found:
-        if deduped and abs(ev.fraction - deduped[-1].fraction) <= _CORNER_TOL:
-            if ev.kind != deduped[-1].kind:
-                # diagonal corner graze: simultaneous entry+exit touches a
-                # single point without entering the interior — cancel both
-                deduped.pop()
-            continue
-        deduped.append(ev)
-    return deduped
+    parts = []
+    for si, seg in enumerate(segments(rect)):
+        a = 0 if seg.axis == "x" else 1
+        da = p1[:, a] - p0[:, a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (seg.coord - p0[:, a]) / da
+        chord = np.nonzero((da != 0.0) & (s >= 0.0) & (s < 1.0))[0]
+        sv = s[chord]
+        d = p1[chord] - p0[chord]
+        tangent = p0[chord, 1 - a] + sv * d[:, 1 - a]
+        inward = d[:, 0] * seg.normal[0] + d[:, 1] * seg.normal[1]
+        keep = (tangent >= seg.t_lo) & (tangent <= seg.t_hi) & (inward != 0.0)
+        side = np.full(np.count_nonzero(keep), si)
+        parts.append((chord[keep], sv[keep], side, inward[keep] > 0.0, tangent[keep]))
+    found = ChordCrossings(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    found = found.select(np.lexsort((found.segment, found.fraction, found.chord)))
+    corner = (found.chord[1:] == found.chord[:-1]) & (
+        found.fraction[1:] - found.fraction[:-1] <= _CORNER_TOL
+    )
+    drop = np.zeros(len(found.chord), dtype=bool)
+    drop[1:] = corner
+    drop[:-1] |= corner & (found.entry[1:] != found.entry[:-1])
+    return found.select(~drop)
 
 
-def on_segment(point, seg: BoundarySegment, tol: float = _POINT_TOL) -> bool:
-    """Whether a point lies on the named segment within tolerance."""
-    x, y = point
-    if seg.axis == "x":
-        return abs(x - seg.coord) <= tol and seg.t_lo - tol <= y <= seg.t_hi + tol
-    return abs(y - seg.coord) <= tol and seg.t_lo - tol <= x <= seg.t_hi + tol
+def detect_crossings(p0, p1, rect: HostRectangle) -> list[ChordCrossing]:
+    """Crossings of the single chord p0 -> p1, ordered along it.
+
+    A one-chord view of chord_crossings, which states the rules.
+    """
+    found = chord_crossings(np.reshape(p0, (1, 2)), np.reshape(p1, (1, 2)), rect)
+    sides = segments(rect)
+    return [
+        ChordCrossing(
+            float(s), sides[i].name, sides[i].point_at(float(t)), "entry" if e else "exit"
+        )
+        for s, i, e, t in zip(found.fraction, found.segment, found.entry, found.tangent)
+    ]

@@ -110,9 +110,7 @@ def _boundary_conditional(
     )
 
 
-def segment_intensity_quadrature(
-    g4: GaussianDensity, seg: BoundarySegment, t: float = 0.0
-) -> float:
+def segment_intensity_quadrature(g4: GaussianDensity, seg: BoundarySegment) -> float:
     """Entry intensity by adaptive 2D quadrature of the exact expression."""
     bc = _boundary_conditional(g4, seg)
     sig1 = math.sqrt(bc.s11)
@@ -158,9 +156,7 @@ def _zeroth_order(mu1, sig1, mu2, sig2, y_lo, y_hi) -> float:
     return vel_part * lat_part
 
 
-def segment_intensity_taylor0(
-    g4: GaussianDensity, seg: BoundarySegment, t: float = 0.0
-) -> float:
+def segment_intensity_taylor0(g4: GaussianDensity, seg: BoundarySegment) -> float:
     """Zeroth-order closed form (inverse-covariance expansion)."""
     bc = _boundary_conditional(g4, seg)
     det = bc.s11 * bc.s22 - bc.s12 * bc.s12
@@ -172,9 +168,7 @@ def segment_intensity_taylor0(
     return _clamp(-bc.pdf_x0 * integral)
 
 
-def segment_intensity_taylor1_inv(
-    g4: GaussianDensity, seg: BoundarySegment, t: float = 0.0
-) -> float:
+def segment_intensity_taylor1_inv(g4: GaussianDensity, seg: BoundarySegment) -> float:
     """First-order expansion in the off-diagonal of the inverse covariance."""
     bc = _boundary_conditional(g4, seg)
     det = bc.s11 * bc.s22 - bc.s12 * bc.s12
@@ -195,9 +189,7 @@ def segment_intensity_taylor1_inv(
     return _clamp(-bc.pdf_x0 * integral)
 
 
-def segment_intensity_taylor1_cov(
-    g4: GaussianDensity, seg: BoundarySegment, t: float = 0.0
-) -> float:
+def segment_intensity_taylor1_cov(g4: GaussianDensity, seg: BoundarySegment) -> float:
     """First-order expansion in the off-diagonal covariance element."""
     bc = _boundary_conditional(g4, seg)
     if bc.s11 <= 0.0 or bc.s22 <= 0.0:
@@ -225,13 +217,13 @@ _SEGMENT_METHODS = {
 
 
 def segment_intensity(
-    g4: GaussianDensity, seg: BoundarySegment, t: float = 0.0, method: str = "quadrature"
+    g4: GaussianDensity, seg: BoundarySegment, method: str = "quadrature"
 ) -> float:
     try:
         fn = _SEGMENT_METHODS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
-    return fn(g4, seg, t)
+    return fn(g4, seg)
 
 
 def total_intensity(
@@ -244,7 +236,5 @@ def total_intensity(
     if g6.dim != 6:
         raise ValueError(f"expected a 6-dim predicted density, got {g6.dim}")
     g4 = marginalize(g6, (0, 1, 2, 3))
-    per = {
-        seg.name: segment_intensity(g4, seg, t, method) for seg in segments(rect)
-    }
+    per = {seg.name: segment_intensity(g4, seg, method) for seg in segments(rect)}
     return RateSample(t=t, mu_plus=sum(per.values()), per_segment=per, method=method)

@@ -3,9 +3,10 @@
 Trajectories are sampled from the initial-state Gaussian and propagated
 with the exact discrete-time dynamics plus exact process-noise
 increments.  Campaigns stream each batch through the horizon a chunk of
-steps at a time: noise for the chunk is drawn into reused buffers, the
-chunk's position chords are checked against the four sides at once, and
-the batch's entries are reduced to integer counts (first-entry and
+steps at a time: noise for the chunk is drawn into reused buffers, all
+of the chunk's position chords go through geometry.chord_crossings (the
+one crossing detector, with its half-open and corner rules) in one call,
+and the batch's entries are reduced to integer counts (first-entry and
 all-entry histograms, entry multiplicities) before the next batch runs.
 Memory is therefore bounded per worker thread, whatever the trajectory
 count or horizon.  simulate_trajectory runs the same kernel for one
@@ -17,73 +18,21 @@ of batching, step chunking or thread count.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    MotionModel,
-    RadarNoise,
-    StateVector,
-    input_increment,
-    process_noise_cov,
-    steady_state_covariance,
-    transition_matrix,
-)
+from .dynamics import StateVector, input_increment, process_noise_cov, transition_matrix
 from .errors import ConfigError
 from .gaussian import psd_factor
-from .geometry import SEGMENT_ORDER, CrossingEvent, HostRectangle, segments
+from .geometry import SEGMENT_ORDER, CrossingEvent, chord_crossings, segments
+from .probability import quadratic_roots
+from .scenarios import ScenarioConfig
 
 _BATCH_SIZE = 4096  # fixed by the algorithm, not by the thread count
 _STEP_CHUNK = 64  # steps of noise held per batch at once; bounds memory only
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything needed to reproduce one campaign."""
-
-    initial_mean: StateVector
-    model: MotionModel
-    radar: RadarNoise = RadarNoise()
-    rect: HostRectangle = HostRectangle()
-    initial_cov: np.ndarray | None = None  # None -> steady-state Riccati
-    horizon: float = 8.0
-    sim_step: float = 0.01
-    bin_width: float = 0.05
-    n_traj: int = 100_000
-    seed: int = 0
-    terminate_on_entry: bool = False
-
-    def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be > 0", "horizon")
-        if self.sim_step <= 0:
-            raise ConfigError("sim_step must be > 0", "sim_step")
-        if self.sim_step > self.bin_width:
-            raise ConfigError("sim_step must be <= bin_width", "sim_step")
-        if self.n_traj < 1:
-            raise ConfigError("n_traj must be >= 1", "n_traj")
-        if self.initial_cov is not None:
-            cov = np.asarray(self.initial_cov, dtype=float)
-            if cov.shape != (6, 6):
-                raise ConfigError("initial_cov must be 6x6", "initial_cov")
-            object.__setattr__(self, "initial_cov", cov)
-
-    def resolve_initial_cov(self) -> np.ndarray:
-        if self.initial_cov is not None:
-            return self.initial_cov
-        return steady_state_covariance(self.initial_mean, self.model, self.radar)
-
-    @property
-    def n_steps(self) -> int:
-        return int(math.ceil(self.horizon / self.sim_step - 1e-9))
-
-    @property
-    def n_bins(self) -> int:
-        return int(math.ceil(self.horizon / self.bin_width - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -189,51 +138,9 @@ class _Crossings(NamedTuple):
         return _Crossings(*(a[index] for a in self))
 
     def ordered(self, keep: np.ndarray) -> _Crossings:
-        """The kept crossings sorted by (row, time, fraction, segment).
-
-        Equal time and fraction means the same chord, so a corner hit is
-        ordered by segment, as the sides are checked in that order.
-        """
+        """The kept crossings sorted by (row, time, fraction, segment)."""
         kept = self.select(keep)
         return kept.select(np.lexsort((kept.segment, kept.fraction, kept.time, kept.row)))
-
-
-def _detect_chunk_crossings(pos: np.ndarray, rect: HostRectangle, k0: int, dt: float):
-    """Vectorized crossing detection over a chunk of steps.
-
-    `pos` is (m + 1, b, 2): the positions before the chunk's first step
-    followed by the position after each step.  A chord crosses a side when
-    the pinned coordinate reaches the side's line at a fraction s in
-    [0, 1) of the chord, the tangent coordinate lies in the side's span,
-    and the chord is not parallel to the side.
-    """
-    p0, p1 = pos[:-1], pos[1:]
-    found = []
-    for si, seg in enumerate(segments(rect)):
-        a = 0 if seg.axis == "x" else 1
-        a0, a1 = p0[..., a], p1[..., a]
-        b0, b1 = p0[..., 1 - a], p1[..., 1 - a]
-        da = a1 - a0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (seg.coord - a0) / da
-        step, row = np.nonzero((da != 0.0) & (s >= 0.0) & (s < 1.0))
-        sv = s[step, row]
-        tangent = b0[step, row] + sv * (b1[step, row] - b0[step, row])
-        d_vec = p1[step, row] - p0[step, row]
-        inward = d_vec[:, 0] * seg.normal[0] + d_vec[:, 1] * seg.normal[1]
-        keep = (tangent >= seg.t_lo) & (tangent <= seg.t_hi) & (inward != 0.0)
-        sv = sv[keep]
-        found.append(
-            (
-                row[keep],
-                (step[keep] + k0) * dt + sv * dt,
-                sv,
-                np.full(len(sv), si),
-                inward[keep] > 0.0,
-                tangent[keep],
-            )
-        )
-    return found
 
 
 def _stream_crossings(
@@ -267,9 +174,13 @@ def _stream_crossings(
             x += u[k0 + i]
             x += w[:, i]
             pos[i + 1] = x[:, :2]
-        found.extend(_detect_chunk_crossings(pos[: m + 1], config.rect, k0, dt))
+        # chord index step * b + row: the (m, b, 2) chunk flattened row-major
+        c = chord_crossings(pos[:m].reshape(-1, 2), pos[1 : m + 1].reshape(-1, 2), config.rect)
+        step, row = np.divmod(c.chord, b)
+        t = (step + k0) * dt + c.fraction * dt
+        found.append((row, t, c.fraction, c.segment, c.entry, c.tangent))
         pos[0] = pos[m]
-    return _Crossings(*(np.concatenate(parts) for parts in zip(*found)))
+    return _Crossings(*(np.concatenate(arrays) for arrays in zip(*found)))
 
 
 def _simulate_batch(
@@ -438,29 +349,10 @@ def ttc_monte_carlo(config: ScenarioConfig) -> dict:
         y = states[:, 1] + states[:, 3] * t + 0.5 * states[:, 5] * t * t
         return x, y
 
-    def roots_along(axis: int, level: float) -> np.ndarray:
-        """Both quadratic roots per draw (nan where invalid/complex)."""
-        a = 0.5 * states[:, 4 + axis]
-        b = states[:, 2 + axis]
-        c = states[:, axis] - level
-        out = np.full((n, 2), np.nan)
-        lin = np.abs(a) < 1e-15
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tl = -c / b
-        out[lin & (b != 0.0), 0] = tl[lin & (b != 0.0)]
-        quad = ~lin
-        disc = b * b - 4.0 * a * c
-        ok = quad & (disc >= 0.0)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = (-b - sq) / (2.0 * a)
-            r2 = (-b + sq) / (2.0 * a)
-        out[ok, 0] = r1[ok]
-        out[ok, 1] = r2[ok]
-        return out
-
     def boundary_hist(axis: int, level: float, t_lo: float, t_hi: float, outside_sign: float):
-        roots = roots_along(axis, level)
+        roots = quadratic_roots(
+            0.5 * states[:, 4 + axis], states[:, 2 + axis], states[:, axis] - level
+        )
         best = np.full(n, np.inf)
         for col in range(2):
             t = roots[:, col]

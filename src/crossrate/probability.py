@@ -100,19 +100,22 @@ def integrate_intensity(curve: RateCurve, t1: float, t2: float) -> ProbabilityBo
     return ProbabilityBound(t1, t2, max(p, 0.0), curve.evaluations)
 
 
-def _positive_roots(a: float, b: float, c: float) -> list[float]:
-    """Real positive roots of a t^2 + b t + c = 0 (a may be ~0)."""
-    if abs(a) < 1e-15:
-        if b == 0.0:
-            return []
-        t = -c / b
-        return [t] if t > 0.0 else []
+def quadratic_roots(a, b, c) -> np.ndarray:
+    """Real roots of a t^2 + b t + c = 0, elementwise, as (..., 2), NaN if none.
+
+    |a| < 1e-15 is solved as linear, with its one root in the first column.
+    """
+    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
+    out = np.full(a.shape + (2,), np.nan)
+    lin = np.abs(a) < 1e-15
+    solvable = lin & (b != 0.0)
+    out[solvable, 0] = -c[solvable] / b[solvable]
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
-    return sorted(t for t in roots if t > 0.0)
+    quad = ~lin & (disc >= 0.0)
+    sq = np.sqrt(disc[quad])
+    out[quad, 0] = (-b[quad] - sq) / (2.0 * a[quad])
+    out[quad, 1] = (-b[quad] + sq) / (2.0 * a[quad])
+    return out
 
 
 def deterministic_ttc_seeds(
@@ -123,13 +126,13 @@ def deterministic_ttc_seeds(
     All real positive roots, no segment-membership filtering; the rear
     line is excluded.  These seed the adaptive sampler only.
     """
-    seeds: list[tuple[str, float]] = []
-    for t in _positive_roots(0.5 * mean.xddot, mean.xdot, mean.x - rect.x_front):
-        seeds.append(("front", t))
-    for t in _positive_roots(0.5 * mean.yddot, mean.ydot, mean.y - rect.y_right):
-        seeds.append(("right", t))
-    for t in _positive_roots(0.5 * mean.yddot, mean.ydot, mean.y - rect.y_left):
-        seeds.append(("left", t))
+    names = ("front", "right", "left")
+    roots = quadratic_roots(
+        [0.5 * mean.xddot, 0.5 * mean.yddot, 0.5 * mean.yddot],
+        [mean.xdot, mean.ydot, mean.ydot],
+        [mean.x - rect.x_front, mean.y - rect.y_right, mean.y - rect.y_left],
+    )
+    seeds = [(name, float(t)) for name, row in zip(names, roots) for t in row if t > 0.0]
     seeds.sort(key=lambda st: st[1])
     return seeds
 

@@ -1,25 +1,79 @@
 """Scenario configuration: named presets and config-file ingestion.
 
-Config files are YAML with nested sections mirroring ScenarioConfig;
-all quantities are SI (m, s, rad).  The built-in presets encode the two
+ScenarioConfig holds everything one campaign or analysis needs.  Config
+files are YAML with nested sections mirroring it; all quantities are SI
+(m, s, rad).  The built-in presets encode the two
 reference scenarios (target straight ahead, target front-right) used
 throughout the numerical studies.
 """
 from __future__ import annotations
 
 import copy
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import yaml
 
-from .dynamics import MotionModel, RadarNoise, StateVector
+from .dynamics import MotionModel, RadarNoise, StateVector, steady_state_covariance
 from .errors import ConfigError
 from .geometry import HostRectangle
-from .montecarlo import ScenarioConfig
 
-# Reference scenario means (host-relative, SI units)
-_FRONT_MEAN = StateVector(10.0, 0.0, -2.0, 0.4, -0.2, 0.0)
-_FRONT_RIGHT_MEAN = StateVector(10.0, 10.0, -2.0, -1.6, -0.001, -0.01)
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Everything needed to reproduce one campaign."""
+
+    initial_mean: StateVector
+    model: MotionModel
+    radar: RadarNoise = RadarNoise()
+    rect: HostRectangle = HostRectangle()
+    initial_cov: np.ndarray | None = None  # None -> steady-state Riccati
+    horizon: float = 8.0
+    sim_step: float = 0.01
+    bin_width: float = 0.05
+    n_traj: int = 100_000
+    seed: int = 0
+    terminate_on_entry: bool = False
+
+    def __post_init__(self):
+        if self.horizon <= 0:
+            raise ConfigError("horizon must be > 0", "horizon")
+        if self.sim_step <= 0:
+            raise ConfigError("sim_step must be > 0", "sim_step")
+        if self.sim_step > self.bin_width:
+            raise ConfigError("sim_step must be <= bin_width", "sim_step")
+        if self.n_traj < 1:
+            raise ConfigError("n_traj must be >= 1", "n_traj")
+        if self.initial_cov is not None:
+            cov = np.asarray(self.initial_cov, dtype=float)
+            if cov.shape != (6, 6):
+                raise ConfigError("initial_cov must be 6x6", "initial_cov")
+            object.__setattr__(self, "initial_cov", cov)
+
+    def resolve_initial_cov(self) -> np.ndarray:
+        """P0, read-only: initial_cov, or the steady-state Riccati solution."""
+        return self._initial_cov
+
+    @cached_property
+    def _initial_cov(self) -> np.ndarray:
+        # solved once per config; dataclasses.replace builds a new config
+        cov = self.initial_cov
+        if cov is None:
+            cov = steady_state_covariance(self.initial_mean, self.model, self.radar)
+        cov = cov.view()
+        cov.setflags(write=False)
+        return cov
+
+    @property
+    def n_steps(self) -> int:
+        return int(math.ceil(self.horizon / self.sim_step - 1e-9))
+
+    @property
+    def n_bins(self) -> int:
+        return int(math.ceil(self.horizon / self.bin_width - 1e-9))
+
 
 PRESETS: dict[str, dict] = {
     "front": {
@@ -175,9 +229,7 @@ def preset_config(name: str, **overrides) -> ScenarioConfig:
     """Materialize a named preset; keyword overrides replace dataclass fields."""
     config = build_config(preset_raw(name))
     if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
+        config = replace(config, **overrides)
     return config
 
 

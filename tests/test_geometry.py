@@ -6,6 +6,7 @@ from crossrate import (
     BoundarySegment,
     GaussianDensity,
     HostRectangle,
+    chord_crossings,
     detect_crossings,
     segments,
     to_segment_frame,
@@ -159,6 +160,15 @@ class TestDetectCrossings:
         # the front line itself is never crossed (no x-motion)
         assert all(ev.segment != "front" for ev in events)
 
+    def test_vertex_on_side_counted_once(self):
+        # the chord ending on the front side does not count it, the chord
+        # starting there does: one entry for the polyline
+        pts = [(1.0, 0.0), (0.0, 0.0), (-1.0, 0.0)]
+        events = [
+            ev for p0, p1 in zip(pts[:-1], pts[1:]) for ev in detect_crossings(p0, p1, RECT)
+        ]
+        assert [(ev.segment, ev.kind) for ev in events] == [("front", "entry")]
+
     def test_entry_exit_parity_random_polylines(self):
         """Cumulative entries - exits equals the point-in-rectangle flag."""
         rng = np.random.default_rng(42)
@@ -187,6 +197,65 @@ class TestDetectCrossings:
                 else:
                     assert abs(y - seg.coord) < 1e-9
                     assert seg.t_lo - 1e-9 <= x <= seg.t_hi + 1e-9
+
+
+def reference_crossings(p0, p1, rect):
+    """Loop form of the chord_crossings rules for one chord: (s, side, entry)."""
+    d = (p1[0] - p0[0], p1[1] - p0[1])
+    found = []
+    for si, seg in enumerate(segments(rect)):
+        a = 0 if seg.axis == "x" else 1
+        if d[a] == 0.0:
+            continue
+        s = (seg.coord - p0[a]) / d[a]
+        tangent = p0[1 - a] + s * d[1 - a]
+        inward = d[0] * seg.normal[0] + d[1] * seg.normal[1]
+        if 0.0 <= s < 1.0 and seg.t_lo <= tangent <= seg.t_hi and inward != 0.0:
+            found.append((s, si, inward > 0.0))
+    kept = []
+    for ev in sorted(found):
+        if kept and ev[0] - kept[-1][0] <= 1e-12:
+            if ev[2] != kept[-1][2]:
+                kept.pop()  # diagonal graze
+            continue
+        kept.append(ev)
+    return kept
+
+
+class TestChordCrossings:
+    def test_corner_rule_stays_within_one_chord(self):
+        # graze, corner hit, and two chords meeting the front at the same
+        # fraction in opposite directions, checked in one call
+        p0 = np.array([[0.5, 0.5], [0.5, 1.5], [1.0, 0.0], [-1.0, 0.5]])
+        p1 = np.array([[-0.5, 1.5], [-0.5, 0.5], [-1.0, 0.0], [1.0, 0.5]])
+        found = chord_crossings(p0, p1, RECT)
+        assert found.chord.tolist() == [1, 2, 3]
+        assert found.segment.tolist() == [0, 0, 0]
+        assert found.entry.tolist() == [True, True, False]
+        np.testing.assert_array_equal(found.fraction, [0.5, 0.5, 0.5])
+
+    def test_matches_loop_reference_on_grid_chords(self):
+        # endpoints on a 0.5 m grid: exact corner hits, grazes, vertices on
+        # sides and slides along sides are all common
+        rng = np.random.default_rng(5)
+        p0 = rng.integers([-14, -6], [6, 6], size=(4000, 2)) * 0.5
+        p1 = p0 + rng.integers(-4, 5, size=(4000, 2)) * 0.5
+        found = chord_crossings(p0, p1, RECT)
+        got = list(
+            zip(
+                found.chord.tolist(),
+                found.fraction.tolist(),
+                found.segment.tolist(),
+                found.entry.tolist(),
+            )
+        )
+        want = [
+            (i, s, si, entry)
+            for i in range(len(p0))
+            for s, si, entry in reference_crossings(tuple(p0[i]), tuple(p1[i]), RECT)
+        ]
+        assert got == want
+        assert len(want) > 500
 
 
 class TestBoundarySegmentValidation:

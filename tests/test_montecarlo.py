@@ -127,6 +127,26 @@ class TestSimulateTrajectory:
         assert rec.first_entry.segment == "front"
         assert len(rec.segment_entry_times("right")) == 1
 
+    def test_exact_corner_hit_is_one_entry(self):
+        # zero noise, 0.5 s steps: the chord (0.25, 1.25) -> (-0.75, 0.25)
+        # meets the front and right sides at the front-right corner at s = 0.25
+        cfg = straight_config(
+            x0=1.25, y0=2.25, xdot=-2.0, ydot=-2.0, sim_step=0.5, bin_width=0.5, horizon=3.0
+        )
+        rec = simulate_trajectory(cfg.initial_mean, cfg, _traj_rng(cfg.seed, 0))
+        assert rec.n_entries_host == 1
+        assert rec.first_entry.segment == "front"
+        assert rec.first_entry.time == 0.625
+        assert rec.first_entry.point == (0.0, 1.0)
+
+    def test_diagonal_corner_graze_has_no_events(self):
+        # the line x + y = 1 touches the rectangle at the front-right corner only
+        cfg = straight_config(
+            x0=1.25, y0=-0.25, xdot=-2.0, ydot=2.0, sim_step=0.5, bin_width=0.5, horizon=3.0
+        )
+        rec = simulate_trajectory(cfg.initial_mean, cfg, _traj_rng(cfg.seed, 0))
+        assert rec.events == ()
+
     def test_crossing_time_interpolated_within_step(self):
         cfg = straight_config(sim_step=0.05, bin_width=0.05)
         rec = simulate_trajectory(cfg.initial_mean, cfg, _traj_rng(cfg.seed, 0))

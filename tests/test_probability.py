@@ -17,7 +17,7 @@ from crossrate import (
     spatial_overlap_probability,
 )
 from crossrate.intensity import RateSample
-from crossrate.probability import RateCurve
+from crossrate.probability import RateCurve, quadratic_roots
 
 RECT = HostRectangle(0.0, -5.0, -1.0, 1.0)
 
@@ -145,6 +145,20 @@ class TestDeterministicTtcSeeds:
         seeds = deterministic_ttc_seeds(StateVector(10, 10, -2, -1.6, 0, 0), RECT)
         times = [t for _, t in seeds]
         assert times == sorted(times)
+
+
+class TestQuadraticRoots:
+    def test_branches(self):
+        # two roots, complex pair, linear (|a| < 1e-15), constant
+        roots = quadratic_roots(
+            [1.0, 1.0, 1e-16, 0.0], [-3.0, 0.0, 2.0, 0.0], [2.0, 1.0, -4.0, 1.0]
+        )
+        np.testing.assert_array_equal(
+            roots, [[1.0, 2.0], [np.nan, np.nan], [2.0, np.nan], [np.nan, np.nan]]
+        )
+
+    def test_broadcasts_scalars(self):
+        assert quadratic_roots(-1.0, 0.0, 4.0).tolist() == [2.0, -2.0]
 
 
 class TestAdaptiveSample:

@@ -1,8 +1,11 @@
-"""Preset catalog and config-file ingestion."""
+"""Preset catalog, config-file ingestion and the initial covariance."""
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from crossrate import build_config, load_config, preset_config
+from crossrate import build_config, load_config, preset_config, scenarios
 from crossrate.errors import ConfigError
 from crossrate.scenarios import config_as_dict, preset_raw
 
@@ -99,6 +102,25 @@ class TestBuildConfig:
         }
         with pytest.raises(ConfigError):
             build_config(raw)
+
+
+class TestResolveInitialCov:
+    def test_riccati_solved_once_per_config(self):
+        cfg = preset_config("front")
+        solver = scenarios.steady_state_covariance
+        with mock.patch.object(scenarios, "steady_state_covariance", wraps=solver) as solve:
+            cov = cfg.resolve_initial_cov()
+            assert cfg.resolve_initial_cov() is cov
+            assert solve.call_count == 1
+            other = dataclasses.replace(cfg, seed=cfg.seed + 1).resolve_initial_cov()
+            assert solve.call_count == 2
+        np.testing.assert_array_equal(other, cov)
+
+    @pytest.mark.parametrize("initial_cov", [None, np.eye(6)])
+    def test_read_only(self, initial_cov):
+        cov = preset_config("front", initial_cov=initial_cov).resolve_initial_cov()
+        with pytest.raises(ValueError):
+            cov[0, 0] = 1.0
 
 
 class TestLoadConfig:
