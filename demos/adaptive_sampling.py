@@ -7,39 +7,28 @@ the resulting probability bound against a dense reference grid.
 import numpy as np
 
 from crossrate import (
-    GaussianDensity,
     adaptive_sample,
     deterministic_ttc_seeds,
     integrate_intensity,
-    predict_density,
+    intensity_curve,
+    intensity_evaluator,
     preset_config,
-    total_intensity,
 )
-from crossrate.probability import RateCurve
-
-
-def evaluator(cfg, g0):
-    def ev(t):
-        return total_intensity(
-            predict_density(g0, float(t), cfg.model), cfg.rect, float(t)
-        )
-
-    return ev
 
 
 def main():
     for name in ("front", "front-right"):
         cfg = preset_config(name)
-        g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
-        ev = evaluator(cfg, g0)
 
         seeds = deterministic_ttc_seeds(cfg.initial_mean, cfg.rect)
-        curve = adaptive_sample(ev, seeds, 0.5, 0.2, 0.01, (0.0, cfg.horizon))
+        curve = adaptive_sample(
+            intensity_evaluator(cfg), seeds, 0.5, 0.2, 0.01, (0.0, cfg.horizon)
+        )
         lo, hi = curve.samples[0].t, curve.samples[-1].t
         p_adaptive = integrate_intensity(curve, lo, hi).p_upper
 
         ts = np.arange(0.0, cfg.horizon + 1e-9, 0.05)
-        dense = RateCurve(tuple(ev(t) for t in ts), 0.0, cfg.horizon)
+        dense = intensity_curve(cfg, ts)
         p_dense = integrate_intensity(dense, 0.0, cfg.horizon).p_upper
 
         print(f"[{name}]")

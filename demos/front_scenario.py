@@ -7,26 +7,18 @@ and validates both against a Monte-Carlo campaign.
 import numpy as np
 
 from crossrate import (
-    GaussianDensity,
     integrate_intensity,
-    predict_density,
+    intensity_curve,
     preset_config,
     run_campaign,
-    total_intensity,
 )
-from crossrate.probability import RateCurve
 
 
 def main():
     cfg = preset_config("front", n_traj=20_000)
-    g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
 
     ts = np.arange(0.0, cfg.horizon + 1e-9, 0.1)
-    samples = tuple(
-        total_intensity(predict_density(g0, float(t), cfg.model), cfg.rect, float(t))
-        for t in ts
-    )
-    curve = RateCurve(samples, 0.0, cfg.horizon)
+    curve = intensity_curve(cfg, ts)
     bound = integrate_intensity(curve, 0.0, 6.0)
     print(f"peak intensity        : {curve.values().max():.4f} 1/s "
           f"at t = {ts[np.argmax(curve.values())]:.1f} s")

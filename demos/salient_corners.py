@@ -7,9 +7,7 @@ approximations against quadrature at each corner.
 import numpy as np
 
 from crossrate import (
-    GaussianDensity,
     SalientOffset,
-    predict_density,
     preset_config,
     salient_transform_density,
     total_intensity,
@@ -25,14 +23,14 @@ CORNERS = {
 
 def main():
     cfg = preset_config("front")
-    g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
     ts = np.arange(2.0, 6.0 + 1e-9, 0.5)
 
     for label, off in CORNERS.items():
         rows = []
         for t in ts:
-            g6 = predict_density(g0, float(t), cfg.model)
-            gc = salient_transform_density(g6, off, cfg.model, float(t))
+            gc = salient_transform_density(
+                cfg.predicted_density(t), off, cfg.model, float(t)
+            )
             row = {
                 m: total_intensity(gc, cfg.rect, float(t), m).mu_plus
                 for m in ("quadrature", "taylor0", "taylor1_inv", "taylor1_cov")

@@ -10,13 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from crossrate import (
-    GaussianDensity,
-    predict_density,
-    preset_config,
-    total_intensity,
-    ttc_monte_carlo,
-)
+from crossrate import intensity_curve, preset_config, ttc_monte_carlo
 
 
 def main():
@@ -33,14 +27,7 @@ def main():
     edges = ttc["bin_edges"]
     mids = 0.5 * (edges[:-1] + edges[1:])
 
-    g0 = GaussianDensity(quiet.initial_mean.as_array(), p0)
-
-    def mu(cfg, t):
-        return total_intensity(
-            predict_density(g0, float(t), cfg.model), cfg.rect, float(t)
-        ).mu_plus
-
-    mu_quiet = np.array([mu(quiet, t) for t in mids])
+    mu_quiet = intensity_curve(quiet, mids).values()
     dev = np.abs(rate - mu_quiet).max() / mu_quiet.max()
     print(f"zero-noise: max |TTC histogram - intensity| = "
           f"{100 * dev:.1f}% of peak")
@@ -50,7 +37,7 @@ def main():
     noisy = dataclasses.replace(
         quiet, model=dataclasses.replace(quiet.model, qx=1.0125, qy=1.0125)
     )
-    mu_noisy = np.array([mu(noisy, t) for t in mids])
+    mu_noisy = intensity_curve(noisy, mids).values()
     print(f"with jerk PSD 1.0125 m^2 s^-5 the intensity peak moves to "
           f"{mids[np.argmax(mu_noisy)]:.2f} s — earlier than the TTC peak")
 

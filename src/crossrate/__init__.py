@@ -53,6 +53,8 @@ from .probability import (
     adaptive_sample,
     deterministic_ttc_seeds,
     integrate_intensity,
+    intensity_curve,
+    intensity_evaluator,
     spatial_overlap_probability,
 )
 from .montecarlo import (

@@ -1,10 +1,13 @@
 """Command-line surface: run campaigns and analyses, emit CSV/JSON tables.
 
-Every run writes a manifest JSON next to its data files recording the
-fully resolved configuration, seed, tool version, output paths, and
-wall-clock duration, so any output can be reproduced from its manifest
-alone.  All CSV numbers use locale-independent formatting with 9
-significant digits.
+Each `cmd_*` writes its data files and returns the config it ran, its
+output paths and any extra manifest fields; `main` alone then writes
+`manifest.json` next to the data files, recording the fully resolved
+configuration, seed, tool version, output paths, and wall-clock duration,
+so any output can be reproduced from its manifest alone.  Intensity
+curves come from `probability.intensity_curve`/`intensity_evaluator`.
+All CSV numbers use locale-independent formatting with 9 significant
+digits.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 I/O.
 """
@@ -21,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import SalientOffset, predict_density, salient_transform_density
+from .dynamics import SalientOffset, salient_transform_density
 from .errors import ConfigError, NumericsError
-from .gaussian import GaussianDensity
 from .geometry import SEGMENT_ORDER
 from .intensity import METHODS, total_intensity
 from .montecarlo import run_campaign, ttc_monte_carlo
@@ -31,6 +33,8 @@ from .probability import (
     adaptive_sample,
     deterministic_ttc_seeds,
     integrate_intensity,
+    intensity_curve,
+    intensity_evaluator,
     spatial_overlap_probability,
     RateCurve,
 )
@@ -84,29 +88,45 @@ def _resolve_config(args) -> ScenarioConfig:
     return config
 
 
-def _predicted_density_evaluator(config: ScenarioConfig, method: str):
-    g0 = GaussianDensity(config.initial_mean.as_array(), config.resolve_initial_cov())
+def _output(args, name: str) -> Path:
+    """Path of one output file; creates the output directory on first use."""
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    return args.out_dir / name
 
-    def ev(t: float):
-        return total_intensity(
-            predict_density(g0, float(t), config.model), config.rect, float(t), method
+
+def _zero_noise(config: ScenarioConfig) -> ScenarioConfig:
+    """The config of the TTC study, which propagates each draw deterministically.
+
+    Keeps the filter-derived initial spread but zeroes the trajectory
+    noise and the input; a config that has neither is returned as is.
+    """
+    model = config.model
+    if not (model.input_enabled or model.qx > 0.0 or model.qy > 0.0):
+        return config
+    return dataclasses.replace(
+        config,
+        initial_cov=config.resolve_initial_cov(),
+        model=dataclasses.replace(model, qx=0.0, qy=0.0, input_enabled=False),
+    )
+
+
+def _grid(horizon: float, dt: float) -> list[float]:
+    """The dense time grid 0, dt, 2 dt, ... <= horizon, rounded to 1e-12 s."""
+    return [round(float(t), 12) for t in np.arange(0.0, horizon + 1e-12, dt)]
+
+
+def _curve(config: ScenarioConfig, args, horizon: float) -> RateCurve:
+    if args.adaptive:
+        seeds = deterministic_ttc_seeds(config.initial_mean, config.rect)
+        return adaptive_sample(
+            intensity_evaluator(config, args.method),
+            seeds,
+            args.dt1,
+            args.dt2,
+            args.rate_floor,
+            (0.0, horizon),
         )
-
-    return ev
-
-
-def _manifest(args, config, outputs: dict[str, str], started: float, extra=None) -> dict:
-    payload = {
-        "command": args.command,
-        "config": config_as_dict(config),
-        "seed": config.seed,
-        "tool_version": __version__,
-        "outputs": outputs,
-        "duration_s": round(time.monotonic() - started, 6),
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+    return intensity_curve(config, _grid(horizon, args.dt), args.method)
 
 
 def _curve_rows(curve: RateCurve):
@@ -117,28 +137,9 @@ def _curve_rows(curve: RateCurve):
 _CURVE_HEADER = ["t_s", "mu_total", "mu_front", "mu_right", "mu_left", "mu_rear"]
 
 
-def _dense_curve(config: ScenarioConfig, method: str, dt: float, horizon: float):
-    ev = _predicted_density_evaluator(config, method)
-    ts = np.arange(0.0, horizon + 1e-12, dt)
-    return RateCurve(tuple(ev(round(float(t), 12)) for t in ts), 0.0, horizon)
-
-
-def _adaptive_curve(config: ScenarioConfig, method: str, args, horizon: float):
-    ev = _predicted_density_evaluator(config, method)
-    seeds = deterministic_ttc_seeds(config.initial_mean, config.rect)
-    return adaptive_sample(
-        ev, seeds, args.dt1, args.dt2, args.rate_floor, (0.0, horizon)
-    )
-
-
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    config = _resolve_config(args)
+def cmd_simulate(args, config):
     result = run_campaign(config, threads=args.threads)
     hist = result.histogram
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     cumulative = hist.integrated_probability()
     rows = []
     for i in range(len(hist.bin_edges) - 1):
@@ -156,69 +157,37 @@ def cmd_simulate(args) -> int:
         + [f"all_entry_rate_{n}" for n in SEGMENT_ORDER]
         + ["integrated_probability"]
     )
-    hist_path = out / "histogram.csv"
+    hist_path = _output(args, "histogram.csv")
     _write_csv(hist_path, header, rows)
-
-    stats_path = out / "statistics.json"
+    stats_path = _output(args, "statistics.json")
     _write_json(stats_path, result.entry_stats)
-
-    manifest_path = out / "manifest.json"
-    _write_json(
-        manifest_path,
-        _manifest(
-            args,
-            config,
-            {"histogram": str(hist_path), "statistics": str(stats_path)},
-            started,
-        ),
-    )
-    print(f"wrote {hist_path}, {stats_path}, {manifest_path}")
-    return 0
+    return config, {"histogram": str(hist_path), "statistics": str(stats_path)}, {}
 
 
-def cmd_intensity(args) -> int:
-    started = time.monotonic()
-    config = _resolve_config(args)
+def cmd_intensity(args, config):
     horizon = args.horizon if args.horizon is not None else config.horizon
-    if args.adaptive:
-        curve = _adaptive_curve(config, args.method, args, horizon)
-    else:
-        curve = _dense_curve(config, args.method, args.dt, horizon)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    curve_path = out / "intensity.csv"
+    curve = _curve(config, args, horizon)
+    curve_path = _output(args, "intensity.csv")
     _write_csv(
         curve_path,
         _CURVE_HEADER + ["method"],
         ([*row, args.method] for row in _curve_rows(curve)),
     )
-    extra = {"evaluations_used": curve.evaluations} if args.adaptive else None
-    manifest_path = out / "manifest.json"
-    _write_json(
-        manifest_path,
-        _manifest(args, config, {"intensity": str(curve_path)}, started, extra),
-    )
-    print(f"wrote {curve_path}, {manifest_path}")
-    return 0
+    extra = {"evaluations_used": curve.evaluations} if args.adaptive else {}
+    return config, {"intensity": str(curve_path)}, extra
 
 
-def cmd_probability(args) -> int:
-    started = time.monotonic()
-    config = _resolve_config(args)
-    horizon = max(args.t2, config.horizon)
+def cmd_probability(args, config):
+    curve = _curve(config, args, max(args.t2, config.horizon))
     if args.adaptive:
-        curve = _adaptive_curve(config, args.method, args, horizon)
         lo = max(args.t1, curve.samples[0].t)
         hi = min(args.t2, curve.samples[-1].t)
         if lo > hi:
             lo = hi = curve.samples[0].t
         bound = integrate_intensity(curve, lo, hi)
     else:
-        curve = _dense_curve(config, args.method, args.dt, horizon)
         bound = integrate_intensity(curve, args.t1, args.t2)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    bound_path = out / "probability.json"
+    bound_path = _output(args, "probability.json")
     _write_json(
         bound_path,
         {
@@ -230,58 +199,27 @@ def cmd_probability(args) -> int:
             "evaluations_used": bound.evaluations_used,
         },
     )
-    manifest_path = out / "manifest.json"
-    _write_json(
-        manifest_path,
-        _manifest(args, config, {"probability": str(bound_path)}, started),
-    )
-    print(f"wrote {bound_path}, {manifest_path}")
-    return 0
+    return config, {"probability": str(bound_path)}, {}
 
 
-def cmd_ttc(args) -> int:
-    started = time.monotonic()
-    config = _resolve_config(args)
-    if config.model.input_enabled or config.model.qx > 0.0 or config.model.qy > 0.0:
-        # the TTC study propagates each draw deterministically; keep the
-        # filter-derived initial spread but zero the trajectory noise
-        cov = config.resolve_initial_cov()
-        config = dataclasses.replace(
-            config,
-            initial_cov=cov,
-            model=dataclasses.replace(
-                config.model, qx=0.0, qy=0.0, input_enabled=False
-            ),
-        )
+def cmd_ttc(args, config):
+    config = _zero_noise(config)
     result = ttc_monte_carlo(config)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     edges = result["bin_edges"]
     rows = (
         [edges[i], 0.5 * (edges[i] + edges[i + 1]), result["front_rate"][i], result["right_rate"][i]]
         for i in range(len(edges) - 1)
     )
-    hist_path = out / "ttc_histogram.csv"
+    hist_path = _output(args, "ttc_histogram.csv")
     _write_csv(hist_path, ["bin_start_s", "bin_mid_s", "front_rate", "right_rate"], rows)
 
     seeds = deterministic_ttc_seeds(config.initial_mean, config.rect)
-    seeds_path = out / "ttc_seeds.json"
+    seeds_path = _output(args, "ttc_seeds.json")
     _write_json(
         seeds_path,
         {"seeds": [{"segment": name, "t_s": t} for name, t in seeds]},
     )
-    manifest_path = out / "manifest.json"
-    _write_json(
-        manifest_path,
-        _manifest(
-            args,
-            config,
-            {"ttc_histogram": str(hist_path), "ttc_seeds": str(seeds_path)},
-            started,
-        ),
-    )
-    print(f"wrote {hist_path}, {seeds_path}, {manifest_path}")
-    return 0
+    return config, {"ttc_histogram": str(hist_path), "ttc_seeds": str(seeds_path)}, {}
 
 
 def _parse_offsets(specs: list[str]) -> list[SalientOffset]:
@@ -297,69 +235,35 @@ def _parse_offsets(specs: list[str]) -> list[SalientOffset]:
     return offsets
 
 
-def cmd_salient(args) -> int:
-    started = time.monotonic()
-    config = _resolve_config(args)
+def cmd_salient(args, config):
     offsets = _parse_offsets(args.offset or ["0,0"])
-    g0 = GaussianDensity(config.initial_mean.as_array(), config.resolve_initial_cov())
-    ts = np.arange(0.0, config.horizon + 1e-12, args.dt)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    ts = _grid(config.horizon, args.dt)
     outputs = {}
     for idx, off in enumerate(offsets):
         rows = []
         for t in ts:
-            t = round(float(t), 12)
-            g_t = predict_density(g0, t, config.model)
-            g_s = salient_transform_density(g_t, off, config.model, t)
-            row = [t]
-            for method in METHODS:
-                row.append(total_intensity(g_s, config.rect, t, method).mu_plus)
-            rows.append(row)
-        path = out / f"salient_{idx}.csv"
+            g_s = salient_transform_density(
+                config.predicted_density(t), off, config.model, t
+            )
+            rows.append([t] + [total_intensity(g_s, config.rect, t, m).mu_plus for m in METHODS])
+        path = _output(args, f"salient_{idx}.csv")
         _write_csv(path, ["t_s"] + [f"mu_total_{m}" for m in METHODS], rows)
         outputs[f"salient_{idx}"] = str(path)
-    manifest_path = out / "manifest.json"
-    _write_json(
-        manifest_path,
-        _manifest(
-            args,
-            config,
-            outputs,
-            started,
-            {"offsets": [[o.dx_body, o.dy_body] for o in offsets]},
-        ),
-    )
-    print(f"wrote {', '.join(outputs.values())}, {manifest_path}")
-    return 0
+    return config, outputs, {"offsets": [[o.dx_body, o.dy_body] for o in offsets]}
 
 
-def cmd_compare(args) -> int:
-    started = time.monotonic()
-    config = _resolve_config(args)
+def cmd_compare(args, config):
     result = run_campaign(config, threads=args.threads)
     hist = result.histogram
-    mids = hist.bin_mid
-    g0 = GaussianDensity(config.initial_mean.as_array(), config.resolve_initial_cov())
-
-    curves = {m: [] for m in METHODS}
-    overlap = []
-    for t in mids:
-        t = round(float(t), 12)
-        g_t = predict_density(g0, t, config.model)
-        for m in METHODS:
-            curves[m].append(total_intensity(g_t, config.rect, t, m).mu_plus)
-        overlap.append(spatial_overlap_probability(g_t, config.rect))
-
-    ttc_config = dataclasses.replace(
-        config,
-        initial_cov=config.resolve_initial_cov(),
-        model=dataclasses.replace(config.model, qx=0.0, qy=0.0, input_enabled=False),
-    )
-    ttc = ttc_monte_carlo(ttc_config)
+    ts = [round(float(t), 12) for t in hist.bin_mid]
+    curves = {m: intensity_curve(config, ts, m).values() for m in METHODS}
+    overlap = [
+        spatial_overlap_probability(config.predicted_density(t), config.rect) for t in ts
+    ]
+    ttc = ttc_monte_carlo(_zero_noise(config))
 
     rows = []
-    for i, t in enumerate(mids):
+    for i, t in enumerate(hist.bin_mid):
         rows.append(
             [
                 t,
@@ -370,9 +274,7 @@ def cmd_compare(args) -> int:
                 ttc["right_rate"][i],
             ]
         )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "compare.csv"
+    path = _output(args, "compare.csv")
     _write_csv(
         path,
         ["t_s", "mc_first_entry_rate"]
@@ -380,10 +282,7 @@ def cmd_compare(args) -> int:
         + ["spatial_overlap", "ttc_front_rate", "ttc_right_rate"],
         rows,
     )
-    manifest_path = out / "manifest.json"
-    _write_json(manifest_path, _manifest(args, config, {"compare": str(path)}, started))
-    print(f"wrote {path}, {manifest_path}")
-    return 0
+    return config, {"compare": str(path)}, {}
 
 
 def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
@@ -391,7 +290,7 @@ def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
     p.add_argument(
         "--preset", choices=sorted(PRESETS), help="built-in named scenario"
     )
-    p.add_argument("--out-dir", default=".", help="output directory")
+    p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
     p.add_argument(
         "--seed", type=int, help="campaign seed (falls back to CROSSRATE_SEED)"
     )
@@ -462,7 +361,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        started = time.monotonic()
+        config, outputs, extra = args.fn(args, _resolve_config(args))
+        manifest = {
+            "command": args.command,
+            "config": config_as_dict(config),
+            "seed": config.seed,
+            "tool_version": __version__,
+            "outputs": outputs,
+            "duration_s": round(time.monotonic() - started, 6),
+            **extra,
+        }
+        manifest_path = _output(args, "manifest.json")
+        _write_json(manifest_path, manifest)
+        print(f"wrote {', '.join(outputs.values())}, {manifest_path}")
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

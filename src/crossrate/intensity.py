@@ -98,13 +98,18 @@ def _boundary_conditional(
         raise NumericsError("marginal variance of the boundary coordinate is not > 0")
     pdf_x0 = normal_pdf(x0, g3.mean[0], math.sqrt(var_x))
     cond = condition(g3, (0,), (x0,))  # remaining order (y, xdot)
+    s11, s22, s12 = cond.cov[1, 1], cond.cov[0, 0], cond.cov[0, 1]
+    # every method divides by these; a degenerate density must fail loudly
+    # rather than read as a zero intensity
+    if s11 <= 0.0 or s22 <= 0.0 or s11 * s22 - s12 * s12 <= 0.0:
+        raise NumericsError("conditional covariance of (xdot, y) is singular")
     return _BoundaryConditional(
         pdf_x0=pdf_x0,
         mu1=cond.mean[1],
         mu2=cond.mean[0],
-        s11=cond.cov[1, 1],
-        s22=cond.cov[0, 0],
-        s12=cond.cov[0, 1],
+        s11=s11,
+        s22=s22,
+        s12=s12,
         y_lo=y_lo,
         y_hi=y_hi,
     )
@@ -118,10 +123,7 @@ def segment_intensity_quadrature(g4: GaussianDensity, seg: BoundarySegment) -> f
     v_hi = min(0.0, bc.mu1 + _VEL_SIGMA_SPAN * sig1)
     if v_hi <= v_lo:
         return 0.0
-    cov = np.array([[bc.s11, bc.s12], [bc.s12, bc.s22]])
     det = bc.s11 * bc.s22 - bc.s12 * bc.s12
-    if det <= 0.0:
-        raise NumericsError("conditional covariance is singular")
     inv = np.array([[bc.s22, -bc.s12], [-bc.s12, bc.s11]]) / det
     norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
 
@@ -160,8 +162,6 @@ def segment_intensity_taylor0(g4: GaussianDensity, seg: BoundarySegment) -> floa
     """Zeroth-order closed form (inverse-covariance expansion)."""
     bc = _boundary_conditional(g4, seg)
     det = bc.s11 * bc.s22 - bc.s12 * bc.s12
-    if det <= 0.0:
-        raise NumericsError("conditional covariance determinant is not > 0")
     sig1 = math.sqrt(det / bc.s22)
     sig2 = math.sqrt(det / bc.s11)
     integral = _zeroth_order(bc.mu1, sig1, bc.mu2, sig2, bc.y_lo, bc.y_hi)
@@ -172,8 +172,6 @@ def segment_intensity_taylor1_inv(g4: GaussianDensity, seg: BoundarySegment) -> 
     """First-order expansion in the off-diagonal of the inverse covariance."""
     bc = _boundary_conditional(g4, seg)
     det = bc.s11 * bc.s22 - bc.s12 * bc.s12
-    if det <= 0.0:
-        raise NumericsError("conditional covariance determinant is not > 0")
     st11 = det / bc.s22
     st22 = det / bc.s11
     sig1 = math.sqrt(st11)
@@ -192,11 +190,6 @@ def segment_intensity_taylor1_inv(g4: GaussianDensity, seg: BoundarySegment) -> 
 def segment_intensity_taylor1_cov(g4: GaussianDensity, seg: BoundarySegment) -> float:
     """First-order expansion in the off-diagonal covariance element."""
     bc = _boundary_conditional(g4, seg)
-    if bc.s11 <= 0.0 or bc.s22 <= 0.0:
-        raise NumericsError("conditional variances must be > 0")
-    det = bc.s11 * bc.s22 - bc.s12 * bc.s12
-    if det <= 0.0:
-        raise NumericsError("conditional covariance determinant is not > 0")
     sig1 = math.sqrt(bc.s11)
     sig2 = math.sqrt(bc.s22)
     integral = _zeroth_order(bc.mu1, sig1, bc.mu2, sig2, bc.y_lo, bc.y_hi)

@@ -1,13 +1,18 @@
 """From intensity curves to collision-probability bounds.
 
-Temporal integration of the entry intensity (expected number of entries,
-an upper bound on the collision probability), deterministic TTC seeds,
-the adaptive curve sampler, and the spatial-overlap comparator.
+The intensity curve of a scenario is built here and only here:
+`intensity_evaluator` maps a time to the total entry intensity of the
+scenario's predicted density, and `intensity_curve` samples it on a given
+time grid.  Also temporal integration of the entry intensity (expected
+number of entries, an upper bound on the collision probability),
+deterministic TTC seeds, the adaptive curve sampler, and the
+spatial-overlap comparator.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 from scipy import integrate
@@ -16,7 +21,10 @@ from .dynamics import StateVector
 from .errors import NumericsError
 from .gaussian import GaussianDensity, marginalize
 from .geometry import HostRectangle
-from .intensity import RateSample
+from .intensity import RateSample, total_intensity
+
+if TYPE_CHECKING:
+    from .scenarios import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,28 @@ class ProbabilityBound:
     @property
     def p_capped(self) -> float:
         return min(self.p_upper, 1.0)
+
+
+def intensity_evaluator(
+    config: ScenarioConfig, method: str = "quadrature"
+) -> Callable[[float], RateSample]:
+    """t -> total entry intensity of the config's predicted density at t."""
+
+    def ev(t: float) -> RateSample:
+        t = float(t)
+        return total_intensity(config.predicted_density(t), config.rect, t, method)
+
+    return ev
+
+
+def intensity_curve(
+    config: ScenarioConfig, times: Iterable[float], method: str = "quadrature"
+) -> RateCurve:
+    """The config's intensity curve sampled at the given increasing times."""
+    ev = intensity_evaluator(config, method)
+    samples = tuple(ev(t) for t in times)
+    span = (samples[0].t, samples[-1].t) if samples else (0.0, 0.0)
+    return RateCurve(samples, *span)
 
 
 def integrate_intensity(curve: RateCurve, t1: float, t2: float) -> ProbabilityBound:

@@ -16,8 +16,15 @@ from functools import cached_property
 import numpy as np
 import yaml
 
-from .dynamics import MotionModel, RadarNoise, StateVector, steady_state_covariance
+from .dynamics import (
+    MotionModel,
+    RadarNoise,
+    StateVector,
+    predict_density,
+    steady_state_covariance,
+)
 from .errors import ConfigError
+from .gaussian import GaussianDensity
 from .geometry import HostRectangle
 
 
@@ -65,6 +72,14 @@ class ScenarioConfig:
         cov = cov.view()
         cov.setflags(write=False)
         return cov
+
+    def predicted_density(self, t: float) -> GaussianDensity:
+        """The target state density predicted from N(initial_mean, P0) to time t."""
+        return predict_density(self._initial_density, float(t), self.model)
+
+    @cached_property
+    def _initial_density(self) -> GaussianDensity:
+        return GaussianDensity(self.initial_mean.as_array(), self._initial_cov)
 
     @property
     def n_steps(self) -> int:

@@ -19,10 +19,11 @@ from crossrate import (
     deterministic_ttc_seeds,
     detect_crossings,
     integrate_intensity,
+    intensity_curve,
+    intensity_evaluator,
     marginalize,
     measurement_function,
     measurement_jacobian,
-    predict_density,
     preset_config,
     process_noise_cov,
     run_campaign,
@@ -30,28 +31,14 @@ from crossrate import (
     segment_intensity,
     segments,
     steady_state_covariance,
-    total_intensity,
     transition_matrix,
     ttc_monte_carlo,
 )
 from crossrate.cli import main as cli_main
 from crossrate.dynamics import salient_jacobian
-from crossrate.probability import RateCurve
 
 PRESETS = ("front", "front-right")
 DENSE_DT = 0.05
-
-
-def make_evaluator(cfg, method, g0=None):
-    if g0 is None:
-        g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
-
-    def ev(t):
-        return total_intensity(
-            predict_density(g0, float(t), cfg.model), cfg.rect, float(t), method
-        )
-
-    return ev
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +57,10 @@ def dense_curves():
     out = {}
     for name in PRESETS:
         cfg = preset_config(name)
-        g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
-        per_method = {}
-        for method in ("quadrature", "taylor0", "taylor1_inv"):
-            ev = make_evaluator(cfg, method, g0)
-            samples = tuple(ev(t) for t in ts)
-            per_method[method] = RateCurve(samples, 0.0, 8.0)
-        out[name] = per_method
+        out[name] = {
+            method: intensity_curve(cfg, ts, method)
+            for method in ("quadrature", "taylor0", "taylor1_inv")
+        }
     return out
 
 
@@ -94,9 +78,8 @@ def test_criterion_1_entry_count_statistics():
     )
     # The former target P(N+>=1) = 0.45 +- 0.05 is dropped: it exceeds
     # E[N+] = B ~ 0.118 for this scenario, and P(N+>=1) cannot exceed E[N+].
-    ev = make_evaluator(cfg, "quadrature")
     ts = np.arange(0.0, cfg.horizon + 1e-9, DENSE_DT)
-    curve = RateCurve(tuple(ev(t) for t in ts), 0.0, cfg.horizon)
+    curve = intensity_curve(cfg, ts, "quadrature")
     bound = integrate_intensity(curve, 0.0, cfg.horizon).p_upper
     t0 = time.perf_counter()
     res = run_campaign(cfg, threads=1)
@@ -207,7 +190,7 @@ def test_criterion_5_adaptive_sampler(dense_curves):
     budgets = {"front": 15, "front-right": 14}
     for name in PRESETS:
         cfg = preset_config(name)
-        ev = make_evaluator(cfg, "quadrature")
+        ev = intensity_evaluator(cfg, "quadrature")
         seeds = deterministic_ttc_seeds(cfg.initial_mean, cfg.rect)
         curve = adaptive_sample(ev, seeds, 0.5, 0.2, 0.01, (0.0, cfg.horizon))
         lo, hi = curve.samples[0].t, curve.samples[-1].t
@@ -239,8 +222,7 @@ def test_criterion_6_ttc_identity():
     edges = ttc["bin_edges"]
     mids = 0.5 * (edges[:-1] + edges[1:])
 
-    g0 = GaussianDensity(quiet.initial_mean.as_array(), p0)
-    ev = make_evaluator(quiet, "quadrature", g0)
+    ev = intensity_evaluator(quiet, "quadrature")
     cache = {}
 
     def mu(t):
@@ -268,8 +250,7 @@ def test_criterion_6_ttc_identity():
         quiet, model=dataclasses.replace(quiet.model, qx=1.0125, qy=1.0125)
     )
     ts = np.arange(0.0, 8.0 + 1e-9, 0.05)
-    ev_noisy = make_evaluator(noisy, "quadrature", g0)
-    noisy_vals = np.array([ev_noisy(t).mu_plus for t in ts])
+    noisy_vals = intensity_curve(noisy, ts, "quadrature").values()
     intensity_peak_t = float(ts[int(np.argmax(noisy_vals))])
     ttc_peak_t = float(mids[int(np.argmax(mc_rate))])
     print(

@@ -358,6 +358,21 @@ class TestCompare:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("method", ["quadrature", "taylor0", "taylor1_inv", "taylor1_cov"])
+    def test_degenerate_density_exit_3(self, tmp_path, method, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cov = np.diag([1.0, 0.25, 0.0, 0.0, 0.0, 0.0]).tolist()
+        cfg.write_text(
+            "scenario:\n"
+            "  initial_mean: [10, 0, -2, 0, 0, 0]\n"
+            f"  initial_cov: {cov}\n"
+            "model:\n  qx: 0.0\n  qy: 0.0\n"
+        )
+        argv = ["probability", "--config", str(cfg), "--t2", "8", "--method", method]
+        assert main([*argv, "--out-dir", str(tmp_path / "p")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "probability.json").exists()
+
     def test_invalid_yaml_exit_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: [unclosed\n")

@@ -9,10 +9,13 @@ import crossrate as cr
 from crossrate import (
     GaussianDensity,
     HostRectangle,
+    MotionModel,
+    NumericsError,
     SalientOffset,
+    StateVector,
     normal_cdf,
+    intensity_curve,
     normal_pdf,
-    predict_density,
     preset_config,
     salient_transform_density,
     segment_intensity,
@@ -189,22 +192,8 @@ class TestTaylorForms:
 @pytest.fixture(scope="module")
 def front_curve():
     cfg = preset_config("front")
-    g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
     ts = np.arange(2.0, 6.0 + 1e-9, 0.1)
-    by_method = {}
-    for method in METHODS:
-        by_method[method] = np.array(
-            [
-                total_intensity(
-                    predict_density(g0, float(t), cfg.model),
-                    cfg.rect,
-                    float(t),
-                    method,
-                ).mu_plus
-                for t in ts
-            ]
-        )
-    return ts, by_method
+    return ts, {method: intensity_curve(cfg, ts, method).values() for method in METHODS}
 
 
 class TestScenarioCurves:
@@ -222,16 +211,25 @@ class TestScenarioCurves:
     def test_rear_and_left_inactive(self):
         """Front scenario never produces rear/left intensity (Table shape)."""
         cfg = preset_config("front")
-        g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
-        for t in (2.0, 3.5, 5.0):
-            sample = total_intensity(
-                predict_density(g0, t, cfg.model), cfg.rect, t, "quadrature"
-            )
+        for sample in intensity_curve(cfg, (2.0, 3.5, 5.0), "quadrature").samples:
             assert sample.per_segment["rear"] < 1e-9
             assert sample.per_segment["left"] < 1e-6 * max(sample.mu_plus, 1e-9)
 
 
 class TestTotalIntensity:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_degenerate_velocity_spread_raises(self, method):
+        """Zero velocity variance: no method may report a zero intensity."""
+        cfg = preset_config(
+            "front",
+            initial_mean=StateVector(10.0, 0.0, -2.0, 0.0, 0.0, 0.0),
+            initial_cov=np.diag([1.0, 0.25, 0.0, 0.0, 0.0, 0.0]),
+            model=MotionModel(qx=0.0, qy=0.0),
+        )
+        for t in (0.0, 4.0):
+            with pytest.raises(NumericsError):
+                total_intensity(cfg.predicted_density(t), cfg.rect, t, method)
+
     def test_free_space_receding_is_zero(self):
         g = GaussianDensity(
             [50.0, 50.0, 3.0, 3.0, 0.0, 0.0], np.diag([1, 1, 0.1, 0.1, 0.01, 0.01])
@@ -285,15 +283,17 @@ class TestSalientComparison:
     def test_rear_corner_favors_cov_expansion(self):
         """Salient rear-corner curve: Sigma12 expansion error is smaller."""
         cfg = preset_config("front")
-        model = dataclasses.replace(cfg.model, input_enabled=False)
-        g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
+        cfg = dataclasses.replace(
+            cfg, model=dataclasses.replace(cfg.model, input_enabled=False)
+        )
         off = SalientOffset(-4.0, -0.9)
         ts = np.arange(2.0, 6.5, 0.25)
         errs = {"taylor1_inv": 0.0, "taylor1_cov": 0.0}
         peak = 0.0
         for t in ts:
-            g_t = predict_density(g0, float(t), model)
-            g_s = salient_transform_density(g_t, off, model, float(t))
+            g_s = salient_transform_density(
+                cfg.predicted_density(t), off, cfg.model, float(t)
+            )
             ref = total_intensity(g_s, cfg.rect, float(t), "quadrature").mu_plus
             peak = max(peak, ref)
             for method in errs:

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 
 from crossrate import (
     CollisionRecord,
-    GaussianDensity,
     HostRectangle,
     MotionModel,
     ScenarioConfig,
     StateVector,
     detect_crossings,
-    predict_density,
     preset_config,
     run_campaign,
     sample_initial,
@@ -241,7 +239,7 @@ class TestRunCampaign:
         w = z @ chol_q_t
         for k in range(cfg.n_steps):
             x = x @ phi_t + u[k] + w[:, k, :]
-        target = predict_density(GaussianDensity(mean, cov0), 3.0, cfg.model)
+        target = cfg.predicted_density(3.0)
         sd = np.sqrt(np.diag(target.cov))
         assert np.all(
             np.abs(x.mean(axis=0) - target.mean) < 4 * sd / math.sqrt(n) + 1e-9

@@ -11,12 +11,15 @@ from crossrate import (
     adaptive_sample,
     deterministic_ttc_seeds,
     integrate_intensity,
+    intensity_curve,
+    intensity_evaluator,
     normal_cdf,
     predict_density,
     preset_config,
     spatial_overlap_probability,
+    total_intensity,
 )
-from crossrate.intensity import RateSample
+from crossrate.intensity import METHODS, RateSample
 from crossrate.probability import RateCurve, quadratic_roots
 
 RECT = HostRectangle(0.0, -5.0, -1.0, 1.0)
@@ -236,18 +239,30 @@ class TestAdaptiveSample:
 
     def test_front_preset_evaluation_budget(self):
         cfg = preset_config("front")
-        g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
-
-        def ev(t):
-            from crossrate import total_intensity
-
-            return total_intensity(
-                predict_density(g0, float(t), cfg.model), cfg.rect, float(t)
-            )
-
         seeds = deterministic_ttc_seeds(cfg.initial_mean, cfg.rect)
-        curve = adaptive_sample(ev, seeds, 0.5, 0.2, 0.01, (0.0, cfg.horizon))
+        curve = adaptive_sample(
+            intensity_evaluator(cfg), seeds, 0.5, 0.2, 0.01, (0.0, cfg.horizon)
+        )
         assert curve.evaluations <= 15
+
+
+class TestIntensityCurve:
+    @pytest.mark.parametrize("preset", ["front", "front-right"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equals_direct_prediction_loop(self, preset, method):
+        """Reference: predict N(initial_mean, P0) to t, then sum the four sides."""
+        cfg = preset_config(preset)
+        g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
+        ts = np.array([0.0, 1.25, 3.5, 5.05])
+        expected = tuple(
+            total_intensity(predict_density(g0, float(t), cfg.model), cfg.rect, float(t), method)
+            for t in ts
+        )
+        curve = intensity_curve(cfg, ts, method)
+        assert curve.samples == expected
+        assert (curve.t_start, curve.t_end) == (0.0, 5.05)
+        assert intensity_evaluator(cfg, method)(ts[2]) == expected[2]
+        assert intensity_curve(cfg, (), method).samples == ()
 
 
 class TestSpatialOverlap:
@@ -277,15 +292,11 @@ class TestSpatialOverlap:
     def test_front_scenario_peak_after_deterministic_ttc(self):
         """Instantaneous-overlap peak lags the deterministic front TTC."""
         cfg = preset_config("front")
-        g0 = GaussianDensity(cfg.initial_mean.as_array(), cfg.resolve_initial_cov())
         seeds = deterministic_ttc_seeds(cfg.initial_mean, cfg.rect)
         ttc_front = next(t for name, t in seeds if name == "front")
         ts = np.arange(2.0, 8.0, 0.1)
         overlap = [
-            spatial_overlap_probability(
-                predict_density(g0, float(t), cfg.model), cfg.rect
-            )
-            for t in ts
+            spatial_overlap_probability(cfg.predicted_density(t), cfg.rect) for t in ts
         ]
         peak_t = float(ts[int(np.argmax(overlap))])
         assert peak_t > ttc_front

@@ -116,6 +116,23 @@ class TestResolveInitialCov:
             assert solve.call_count == 2
         np.testing.assert_array_equal(other, cov)
 
+    def test_initial_density_built_once_per_config(self):
+        cfg = preset_config("front")
+        with mock.patch.object(
+            scenarios, "GaussianDensity", wraps=scenarios.GaussianDensity
+        ) as build:
+            g2 = cfg.predicted_density(2.0)
+            g5 = cfg.predicted_density(5.0)
+            assert build.call_count == 1
+            other = dataclasses.replace(cfg, seed=cfg.seed + 1).predicted_density(2.0)
+            assert build.call_count == 2
+        np.testing.assert_array_equal(other.mean, g2.mean)
+        np.testing.assert_array_equal(other.cov, g2.cov)
+        assert not np.array_equal(g5.mean, g2.mean)
+        np.testing.assert_array_equal(
+            cfg.predicted_density(0.0).cov, cfg.resolve_initial_cov()
+        )
+
     @pytest.mark.parametrize("initial_cov", [None, np.eye(6)])
     def test_read_only(self, initial_cov):
         cov = preset_config("front", initial_cov=initial_cov).resolve_initial_cov()
