@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -300,16 +301,24 @@ def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
         p.add_argument("--n-traj", type=int, dest="n_traj", help="trajectory count")
 
 
+def _positive(text: str) -> float:
+    """argparse type of a step, rate or horizon: a positive finite number."""
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_curve_flags(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=METHODS, default="quadrature")
-    p.add_argument("--dt", type=float, default=0.05, help="dense grid step, s")
+    p.add_argument("--dt", type=_positive, default=0.05, help="dense grid step, s")
     p.add_argument("--adaptive", action="store_true", help="adaptive sampling")
-    p.add_argument("--dt1", type=float, default=0.5, help="adaptive coarse step, s")
-    p.add_argument("--dt2", type=float, default=0.2, help="adaptive refine step, s")
+    p.add_argument("--dt1", type=_positive, default=0.5, help="adaptive coarse step, s")
+    p.add_argument("--dt2", type=_positive, default=0.2, help="adaptive refine step, s")
     p.add_argument(
-        "--rate-floor", type=float, default=0.01, help="adaptive stop intensity, 1/s"
+        "--rate-floor", type=_positive, default=0.01, help="adaptive stop intensity, 1/s"
     )
-    p.add_argument("--horizon", type=float, help="override curve horizon, s")
+    p.add_argument("--horizon", type=_positive, help="override curve horizon, s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="body-frame offset 'dx,dy' (repeatable; default 0,0)",
     )
-    p.add_argument("--dt", type=float, default=0.05, help="grid step, s")
+    p.add_argument("--dt", type=_positive, default=0.05, help="grid step, s")
     p.set_defaults(fn=cmd_salient)
 
     p = sub.add_parser("compare", help="MC, intensity methods, overlap, TTC on one grid")
@@ -360,6 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "dt1") and not args.dt2 < args.dt1:
+        parser.error(f"--dt2 ({args.dt2}) must be < --dt1 ({args.dt1})")
+    if hasattr(args, "t1") and not 0.0 <= args.t1 <= args.t2 < math.inf:
+        parser.error(f"need 0 <= --t1 <= --t2 < inf, got {args.t1} and {args.t2}")
     try:
         started = time.monotonic()
         config, outputs, extra = args.fn(args, _resolve_config(args))

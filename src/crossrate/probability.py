@@ -185,8 +185,8 @@ def adaptive_sample(
     `evaluator` maps a time to a RateSample; results are cached so no
     time is evaluated twice and the evaluation count is exact.
     """
-    if not dt2 < dt1:
-        raise ValueError(f"dt2 ({dt2}) must be < dt1 ({dt1})")
+    if not 0.0 < dt2 < dt1:
+        raise ValueError(f"need 0 < dt2 < dt1, got dt2={dt2}, dt1={dt1}")
     if rate_floor <= 0.0:
         raise ValueError(f"rate_floor must be > 0, got {rate_floor}")
     t1, t2 = horizon

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -53,11 +53,17 @@ class ScenarioConfig:
             raise ConfigError("sim_step must be <= bin_width", "sim_step")
         if self.n_traj < 1:
             raise ConfigError("n_traj must be >= 1", "n_traj")
+        if not 0 <= self.seed < 2**64:  # the Philox key is uint64
+            raise ConfigError("seed must be in [0, 2**64)", "seed")
         if self.initial_cov is not None:
             cov = np.asarray(self.initial_cov, dtype=float)
-            if cov.shape != (6, 6):
-                raise ConfigError("initial_cov must be 6x6", "initial_cov")
+            if cov.shape != (6, 6) or not np.isfinite(cov).all():
+                raise ConfigError("initial_cov must be a finite 6x6 matrix", "initial_cov")
             object.__setattr__(self, "initial_cov", cov)
+            try:  # symmetric and PSD, to GaussianDensity's tolerance
+                self._initial_density
+            except ValueError as exc:
+                raise ConfigError(str(exc), "initial_cov") from None
 
     def resolve_initial_cov(self) -> np.ndarray:
         """P0, read-only: initial_cov, or the steady-state Riccati solution."""
@@ -130,16 +136,13 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError("missing required field", f"{path}.{key}")
-    return mapping[key]
-
-
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", path)
-    return float(value)
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond float range
+        pass
+    raise ConfigError(f"expected a finite number, got {value!r}", path)
 
 
 def _integer(value, path: str) -> int:
@@ -148,81 +151,107 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def build_config(raw: dict) -> ScenarioConfig:
-    """Validate a raw mapping and materialize a ScenarioConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping", "")
-    known = {"preset", "scenario", "model", "radar", "rect"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError("unknown section", key)
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}", path)
+    return value
 
-    sc = raw.get("scenario", {})
-    mo = raw.get("model", {})
-    ra = raw.get("radar", {})
-    re = raw.get("rect", {})
 
-    mean_raw = _require(sc, "initial_mean", "scenario")
-    if not isinstance(mean_raw, (list, tuple)) or len(mean_raw) != 6:
-        raise ConfigError("initial_mean must be a 6-element list", "scenario.initial_mean")
-    mean = StateVector(*[_number(v, "scenario.initial_mean") for v in mean_raw])
+def _vector(value, path: str) -> list[float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 6:
+        raise ConfigError(f"expected a list of 6 numbers, got {value!r}", path)
+    return [_number(v, path) for v in value]
 
-    cov_raw = sc.get("initial_cov", "riccati")
-    if isinstance(cov_raw, str):
-        if cov_raw != "riccati":
+
+def _matrix(value, path: str) -> np.ndarray | None:
+    if isinstance(value, str) and value == "riccati":
+        return None
+    if not isinstance(value, (list, tuple)):  # ScenarioConfig checks the shape
+        raise ConfigError(f"expected 'riccati' or a 6x6 matrix, got {value!r}", path)
+    return np.array([_vector(row, path) for row in value])
+
+
+def _section(value, path: str, keys) -> dict:
+    """`value`, checked to be a mapping whose keys are all in `keys`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"expected a mapping, got {value!r}", path or "config")
+    for key in value:
+        if key not in keys:
             raise ConfigError(
-                "initial_cov must be 'riccati' or a 6x6 matrix", "scenario.initial_cov"
+                f"unknown key; expected one of {sorted(keys)}", f"{path}.{key}" if path else key
             )
-        cov = None
-    else:
-        cov = np.asarray(cov_raw, dtype=float)
-        if cov.shape != (6, 6):
-            raise ConfigError("initial_cov matrix must be 6x6", "scenario.initial_cov")
+    return value
 
-    inp = mo.get("input", {})
-    enabled = bool(inp.get("enabled", False))
+
+def _parse(value, path: str, parsers: dict, required=()) -> dict:
+    """The keys a section sets, each checked by its parser."""
+    section = _section(value, path, parsers)
+    for key in required:
+        if key not in section:
+            raise ConfigError("missing required field", f"{path}.{key}")
+    return {k: parsers[k](v, f"{path}.{k}") for k, v in section.items()}
+
+
+def _input(value, path: str) -> dict:
+    """model.input as MotionModel keyword arguments."""
+    kwargs = {}
+    for key, v in _section(value, path, _INPUT).items():
+        field, parse = _INPUT[key]
+        kwargs[field] = parse(v, f"{path}.{key}")
+    return kwargs
+
+
+# The YAML schema, stated once: build_config parses with these tables and
+# config_as_dict writes the manifest from them.  Defaults live only on the
+# dataclasses, so a key that a section leaves out keeps its default.
+_ROOT = ("preset", "scenario", "model", "radar", "rect")
+_SCENARIO = {
+    "initial_mean": lambda value, path: StateVector(*_vector(value, path)),
+    "initial_cov": _matrix,
+    "horizon": _number,
+    "sim_step": _number,
+    "bin_width": _number,
+    "n_traj": _integer,
+    "seed": _integer,
+    "terminate_on_entry": _flag,
+}
+_MODEL = {"qx": _number, "qy": _number, "input": _input}
+_INPUT = {  # YAML key -> (MotionModel field, parser)
+    "enabled": ("input_enabled", _flag),
+    "b1": ("b1", _number),
+    "b2": ("b2", _number),
+    "omega": ("omega", _number),
+}
+_RADAR = dict.fromkeys((f.name for f in fields(RadarNoise)), _number)
+_RECT = dict.fromkeys((f.name for f in fields(HostRectangle)), _number)
+
+
+def build_config(raw: dict) -> ScenarioConfig:
+    """Validate a raw mapping and materialize a ScenarioConfig.
+
+    A 'preset' key merges the rest of the mapping over that preset.  Each
+    section rejects keys outside the schema; a key it leaves out keeps the
+    dataclass default.
+    """
+    raw = _section(raw, "", _ROOT)
+    if "preset" in raw:
+        overrides = {k: v for k, v in raw.items() if k != "preset"}
+        raw = _deep_merge(preset_raw(str(raw["preset"])), overrides)
+    scenario = _parse(raw.get("scenario", {}), "scenario", _SCENARIO, ("initial_mean",))
+    model = _parse(raw.get("model", {}), "model", _MODEL, ("qx", "qy"))
     try:
-        model = MotionModel(
-            qx=_number(_require(mo, "qx", "model"), "model.qx"),
-            qy=_number(_require(mo, "qy", "model"), "model.qy"),
-            b1=_number(inp.get("b1", 0.0), "model.input.b1"),
-            b2=_number(inp.get("b2", 0.0), "model.input.b2"),
-            omega=_number(inp.get("omega", 0.0), "model.input.omega"),
-            input_enabled=enabled,
-        )
-        radar = RadarNoise(
-            sigma_r=_number(ra.get("sigma_r", 0.5), "radar.sigma_r"),
-            sigma_phi=_number(ra.get("sigma_phi", 0.00873), "radar.sigma_phi"),
-            sigma_rdot=_number(ra.get("sigma_rdot", 0.25), "radar.sigma_rdot"),
-            cycle_time=_number(ra.get("cycle_time", 0.05), "radar.cycle_time"),
-        )
-        rect = HostRectangle(
-            x_front=_number(re.get("x_front", 0.0), "rect.x_front"),
-            x_rear=_number(re.get("x_rear", -5.0), "rect.x_rear"),
-            y_left=_number(re.get("y_left", -1.0), "rect.y_left"),
-            y_right=_number(re.get("y_right", 1.0), "rect.y_right"),
-        )
         return ScenarioConfig(
-            initial_mean=mean,
-            model=model,
-            radar=radar,
-            rect=rect,
-            initial_cov=cov,
-            horizon=_number(sc.get("horizon", 8.0), "scenario.horizon"),
-            sim_step=_number(sc.get("sim_step", 0.01), "scenario.sim_step"),
-            bin_width=_number(sc.get("bin_width", 0.05), "scenario.bin_width"),
-            n_traj=_integer(sc.get("n_traj", 100_000), "scenario.n_traj"),
-            seed=_integer(sc.get("seed", 0), "scenario.seed"),
-            terminate_on_entry=bool(sc.get("terminate_on_entry", False)),
+            **scenario,
+            model=MotionModel(qx=model["qx"], qy=model["qy"], **model.get("input", {})),
+            radar=RadarNoise(**_parse(raw.get("radar", {}), "radar", _RADAR)),
+            rect=HostRectangle(**_parse(raw.get("rect", {}), "rect", _RECT)),
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc), "config") from exc
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
+    out = dict(base)
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(out.get(key), dict):
             out[key] = _deep_merge(out[key], value)
@@ -242,64 +271,34 @@ def preset_raw(name: str) -> dict:
 
 def preset_config(name: str, **overrides) -> ScenarioConfig:
     """Materialize a named preset; keyword overrides replace dataclass fields."""
-    config = build_config(preset_raw(name))
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    config = build_config({"preset": name})
+    return replace(config, **overrides) if overrides else config
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Load a YAML config file; a 'preset' key merges overrides on a preset."""
+    """Load a YAML config file and build it with `build_config`."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}", path) from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping", path)
-    if "preset" in raw:
-        base = preset_raw(str(raw["preset"]))
-        raw = _deep_merge(base, {k: v for k, v in raw.items() if k != "preset"})
-    return build_config(raw)
+    return build_config({} if raw is None else raw)
 
 
 def config_as_dict(config: ScenarioConfig) -> dict:
     """Fully materialized config (defaults resolved), for manifests."""
+    scenario = {key: getattr(config, key) for key in _SCENARIO}
+    scenario["initial_mean"] = list(config.initial_mean.as_array())
+    cov = config.initial_cov
+    scenario["initial_cov"] = "riccati" if cov is None else [list(row) for row in cov]
+    model = config.model
     return {
-        "scenario": {
-            "initial_mean": list(config.initial_mean.as_array()),
-            "initial_cov": "riccati"
-            if config.initial_cov is None
-            else [list(row) for row in config.initial_cov],
-            "horizon": config.horizon,
-            "sim_step": config.sim_step,
-            "bin_width": config.bin_width,
-            "n_traj": config.n_traj,
-            "seed": config.seed,
-            "terminate_on_entry": config.terminate_on_entry,
-        },
+        "scenario": scenario,
         "model": {
-            "qx": config.model.qx,
-            "qy": config.model.qy,
-            "input": {
-                "enabled": config.model.input_enabled,
-                "b1": config.model.b1,
-                "b2": config.model.b2,
-                "omega": config.model.omega,
-            },
+            "qx": model.qx,
+            "qy": model.qy,
+            "input": {key: getattr(model, field) for key, (field, _) in _INPUT.items()},
         },
-        "radar": {
-            "sigma_r": config.radar.sigma_r,
-            "sigma_phi": config.radar.sigma_phi,
-            "sigma_rdot": config.radar.sigma_rdot,
-            "cycle_time": config.radar.cycle_time,
-        },
-        "rect": {
-            "x_front": config.rect.x_front,
-            "x_rear": config.rect.x_rear,
-            "y_left": config.rect.y_left,
-            "y_right": config.rect.y_right,
-        },
+        "radar": asdict(config.radar),
+        "rect": asdict(config.rect),
     }

@@ -401,6 +401,71 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(missing), "--out-dir", str(tmp_path)]) == 4
 
 
+class TestInvalidInputExit2:
+    """Bad flags, config fields and seeds exit 2 before any output is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["intensity", "--dt", "0"],
+            ["intensity", "--dt=-0.05"],
+            ["intensity", "--dt", "nan"],
+            ["intensity", "--horizon=-1", "--method", "taylor0"],
+            ["salient", "--dt", "0"],
+            ["intensity", "--adaptive", "--rate-floor", "0"],
+            ["intensity", "--adaptive", "--dt1", "0.2", "--dt2", "0.3"],
+            ["intensity", "--adaptive", "--dt1", "inf"],
+            ["probability", "--t1", "3", "--t2", "2", "--method", "taylor0", "--dt", "1"],
+            ["probability", "--t1=-1", "--t2", "2", "--method", "taylor0", "--dt", "1"],
+            ["probability", "--t1=-1", "--t2", "6", "--adaptive", "--method", "taylor0"],
+            ["probability", "--t2", "inf", "--method", "taylor0"],
+        ],
+    )
+    def test_bad_flag(self, tmp_path, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--preset", "front", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    # the field named in the error -> the YAML that gets it wrong, over `preset: front`
+    BAD_CONFIGS = {
+        "radar.sigma_rr": "radar: {sigma_rr: 3.0}",
+        "scenario.horizn": "scenario: {horizn: 3}",
+        "model.q_x": "model: {q_x: 0.1}",
+        "model.input.omga": "model: {input: {omga: 1.0}}",
+        "scenario.terminate_on_entry": "scenario: {terminate_on_entry: 'false'}",
+        "model.input.enabled": "model: {input: {enabled: 'false'}}",
+        "radar": "radar: 5",
+        "scenario.horizon": "scenario: {horizon: .inf}",
+        "model.qx": "model: {qx: .nan}",
+        "seed": "scenario: {seed: 18446744073709551616}",
+        "initial_cov": "scenario: {initial_cov: %s}"
+        % (np.eye(6) + 0.5 * np.eye(6, k=1)).tolist(),
+    }
+
+    @pytest.mark.parametrize("named", list(BAD_CONFIGS))
+    def test_bad_config(self, tmp_path, capsys, named):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"preset: front\n{self.BAD_CONFIGS[named]}\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--n-traj", "16", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range(self, tmp_path, monkeypatch, seed):
+        argv = ["simulate", "--preset", "front", "--n-traj", "16", "--out-dir", str(tmp_path)]
+        assert main([*argv, "--seed", seed]) == 2
+        monkeypatch.setenv("CROSSRATE_SEED", seed)
+        assert main(argv) == 2
+
+    def test_largest_seed_runs(self, tmp_path):
+        argv = ["simulate", "--preset", "front", "--n-traj", "16", "--out-dir", str(tmp_path)]
+        assert main([*argv, "--seed", str(2**64 - 1)]) == 0
+
+
 def test_csv_numbers_are_locale_independent(tmp_path):
     out = tmp_path / "i"
     main(["intensity", "--preset", "front", "--dt", "2.0", "--out-dir", str(out)])

@@ -1,5 +1,6 @@
 """Temporal integration, TTC seeds, adaptive sampling, spatial overlap."""
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -173,6 +174,21 @@ class TestAdaptiveSample:
             adaptive_sample(ev, [("front", 4.0)], 0.5, 0.2, 0.0, (0.0, 8.0))
         with pytest.raises(ValueError):
             adaptive_sample(ev, [("front", 4.0)], 0.5, 0.2, 0.01, (8.0, 0.0))
+
+    @pytest.mark.parametrize("dt1, dt2", [(0.0, -0.1), (0.5, 0.0), (0.5, -0.2)])
+    def test_non_positive_step_rejected(self, dt1, dt2):
+        # a zero step never leaves its start; the alarm turns a hang into a failure
+        def hang(signum, frame):
+            raise TimeoutError("adaptive_sample did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="0 < dt2 < dt1"):
+                adaptive_sample(gaussian_bump_evaluator(), [("front", 4.0)], dt1, dt2, 0.01, (0.0, 8.0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_unimodal_bump_integral_matches_dense(self):
         ev = gaussian_bump_evaluator()

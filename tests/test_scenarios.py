@@ -1,13 +1,20 @@
 """Preset catalog, config-file ingestion and the initial covariance."""
+import copy
 import dataclasses
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from crossrate import build_config, load_config, preset_config, scenarios
 from crossrate.errors import ConfigError
-from crossrate.scenarios import config_as_dict, preset_raw
+from crossrate.scenarios import PRESETS, config_as_dict, preset_raw
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestPresets:
@@ -174,3 +181,245 @@ def test_preset_raw_is_a_copy():
     raw = preset_raw("front")
     raw["scenario"]["n_traj"] = 1
     assert preset_raw("front")["scenario"]["n_traj"] == 100_000
+
+
+# A raw config that sets every field of every section.
+FULL = {
+    "scenario": {
+        "initial_mean": [12.0, 1.0, -2.5, 0.3, -0.1, 0.02],
+        "initial_cov": np.diag([0.5, 0.3, 0.2, 0.1, 0.05, 0.05]).tolist(),
+        "horizon": 6.0,
+        "sim_step": 0.02,
+        "bin_width": 0.1,
+        "n_traj": 3000,
+        "seed": 77,
+        "terminate_on_entry": True,
+    },
+    "model": {
+        "qx": 0.02,
+        "qy": 0.03,
+        "input": {"enabled": True, "b1": -0.1, "b2": 0.2, "omega": 0.7},
+    },
+    "radar": {"sigma_r": 0.4, "sigma_phi": 0.01, "sigma_rdot": 0.3, "cycle_time": 0.1},
+    "rect": {"x_front": 0.5, "x_rear": -4.5, "y_left": -0.9, "y_right": 1.1},
+}
+SECTIONS = ["scenario", "model", "model.input", "radar", "rect"]
+
+
+def at(raw: dict, path: str):
+    """The value at a dotted path."""
+    for name in path.split("."):
+        raw = raw[name]
+    return raw
+
+
+def with_value(path: str, value) -> dict:
+    """FULL with the field at dotted `path` set to `value`."""
+    raw = copy.deepcopy(FULL)
+    section, _, key = path.rpartition(".")
+    (at(raw, section) if section else raw)[key] = value
+    return raw
+
+
+FLAGS = ["scenario.terminate_on_entry", "model.input.enabled"]
+NUMBERS = [
+    f"{section}.{key}"
+    for section in SECTIONS
+    for key, value in at(FULL, section).items()
+    if isinstance(value, (int, float)) and not isinstance(value, bool)
+]
+
+
+def assert_same_config(a, b):
+    """ScenarioConfig equality; == alone cannot compare initial_cov arrays."""
+    assert dataclasses.replace(a, initial_cov=None) == dataclasses.replace(b, initial_cov=None)
+    if a.initial_cov is None or b.initial_cov is None:
+        assert a.initial_cov is None and b.initial_cov is None
+    else:
+        np.testing.assert_array_equal(a.initial_cov, b.initial_cov)
+
+
+def rejection_cases():
+    yield "", 5, "config"
+    for section in SECTIONS:
+        yield f"{section}.bogus", 1.0, f"{section}.bogus"
+        yield section, 5, section
+        yield section, [1.0], section
+    for path in FLAGS:
+        yield path, "false", path
+        yield path, 1, path
+    for path in NUMBERS:
+        for bad in (float("nan"), float("inf"), -float("inf"), True, "1.0"):
+            yield path, bad, path
+    yield "scenario.horizon", 10**400, "scenario.horizon"  # beyond the float range
+    mean = FULL["scenario"]["initial_mean"]
+    yield "scenario.initial_mean", [*mean[:5], float("nan")], "scenario.initial_mean"
+    yield "scenario.initial_mean", [*mean[:5], True], "scenario.initial_mean"
+    cov = copy.deepcopy(FULL["scenario"]["initial_cov"])
+    cov[2][3] = float("inf")
+    yield "scenario.initial_cov", cov, "scenario.initial_cov"
+    yield "scenario.initial_cov", [[1.0] * 6] * 5, "initial_cov"
+    yield "scenario.initial_cov", [[1.0] * 6] * 5 + [[1.0] * 5], "scenario.initial_cov"
+
+
+class TestSchema:
+    def test_full_config_is_valid(self):
+        cfg = build_config(FULL)
+        assert (cfg.radar.sigma_phi, cfg.rect.x_rear, cfg.seed) == (0.01, -4.5, 77)
+        assert cfg.terminate_on_entry and cfg.model.input_enabled
+
+    @pytest.mark.parametrize("path, value, named", list(rejection_cases()))
+    def test_rejected_with_path(self, path, value, named):
+        raw = value if path == "" else with_value(path, value)
+        with pytest.raises(ConfigError) as exc:
+            build_config(raw)
+        assert named in str(exc.value)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_overrides_are_checked(self, preset):
+        with pytest.raises(ConfigError, match=r"radar\.sigma_rr"):
+            build_config({"preset": preset, "radar": {"sigma_rr": 3.0}})
+
+    def test_preset_key_applies_the_preset(self):
+        cfg = build_config({"preset": "front-right", "scenario": {"n_traj": 50}})
+        assert_same_config(cfg, preset_config("front-right", n_traj=50))
+        assert cfg.seed == 20260824 and cfg.model.input_enabled
+
+
+def numbers(lo, hi):
+    """Ints or floats in [lo, hi]."""
+    ints = st.integers(int(np.ceil(lo)), int(np.floor(hi)))
+    floats = st.floats(lo, hi)
+    return st.one_of(ints, floats) if np.ceil(lo) <= np.floor(hi) else floats
+
+
+FIELD_VALUES = {
+    "scenario.initial_mean": st.lists(numbers(-20, 20), min_size=6, max_size=6),
+    "scenario.initial_cov": st.one_of(
+        st.just("riccati"),
+        st.lists(st.floats(1e-3, 10.0), min_size=6, max_size=6).map(
+            lambda d: np.diag(d).tolist()
+        ),
+    ),
+    "scenario.horizon": numbers(0.5, 20.0),
+    "scenario.sim_step": numbers(1e-3, 0.01),
+    "scenario.bin_width": numbers(0.01, 2.0),
+    "scenario.n_traj": st.integers(1, 10**6),
+    "scenario.seed": st.integers(0, 2**64 - 1),
+    "scenario.terminate_on_entry": st.booleans(),
+    "model.qx": numbers(0.0, 2.0),
+    "model.qy": numbers(0.0, 2.0),
+    "model.input.enabled": st.booleans(),
+    "model.input.b1": numbers(-1.0, 1.0),
+    "model.input.b2": numbers(-1.0, 1.0),
+    "model.input.omega": numbers(0.1, 2.0),
+    "radar.sigma_r": numbers(0.1, 2.0),
+    "radar.sigma_phi": numbers(1e-3, 0.05),
+    "radar.sigma_rdot": numbers(0.1, 1.0),
+    "radar.cycle_time": numbers(0.01, 0.2),
+    "rect.x_front": numbers(0.0, 2.0),
+    "rect.x_rear": numbers(-8.0, -1.0),
+    "rect.y_left": numbers(-3.0, -0.5),
+    "rect.y_right": numbers(0.5, 3.0),
+}
+# What a raw config without a preset must give: the fields without a default,
+# and omega, which an enabled input needs to be > 0.
+REQUIRED = ("scenario.initial_mean", "model.qx", "model.qy", "model.input.omega")
+
+
+@st.composite
+def raw_configs(draw):
+    """A valid raw config: a preset or not, and a random subset of fields."""
+    preset = draw(st.one_of(st.none(), st.sampled_from(sorted(PRESETS))))
+    given = {}
+    for path, values in FIELD_VALUES.items():
+        if (preset is None and path in REQUIRED) or draw(st.booleans()):
+            given[path] = draw(values)
+    raw = {} if preset is None else {"preset": preset}
+    for path, value in given.items():
+        *sections, key = path.split(".")
+        node = raw
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return raw
+
+
+def leaves(raw: dict, prefix=""):
+    """(dotted path, value) of every non-mapping value."""
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(raw=raw_configs())
+    def test_manifest_dict_round_trip(self, raw, tmp_path_factory):
+        cfg = build_config(raw)
+        written = config_as_dict(cfg)
+        assert_same_config(build_config(written), cfg)
+        # the dict holds every value given, and every preset value not overridden
+        expected = dict(raw)
+        if "preset" in expected:
+            expected = scenarios._deep_merge(preset_raw(expected.pop("preset")), expected)
+        for path, value in leaves(expected):
+            assert at(written, path) == value, path
+        yaml_path = tmp_path_factory.mktemp("cfg") / "cfg.yaml"
+        yaml_path.write_text(yaml.safe_dump(raw))
+        assert_same_config(load_config(str(yaml_path)), cfg)
+
+
+class TestInitialCovAndSeed:
+    @pytest.mark.parametrize(
+        "cov, why",
+        [
+            (np.eye(6) + 0.5 * np.eye(6, k=1), "not symmetric"),
+            (np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0]), "positive semi-definite"),
+            (np.diag([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), "finite"),
+            (np.eye(5), "6x6"),
+        ],
+    )
+    def test_bad_initial_cov_rejected_at_build(self, cov, why):
+        with pytest.raises(ConfigError, match=why) as exc:
+            preset_config("front", initial_cov=cov)
+        assert exc.value.field == "initial_cov"
+
+    def test_asymmetric_cov_from_yaml(self, tmp_path):
+        cov = np.eye(6)
+        cov[0, 1] = 0.5
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"preset": "front", "scenario": {"initial_cov": cov.tolist()}}))
+        with pytest.raises(ConfigError, match="not symmetric"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            preset_config("front", seed=seed)
+        with pytest.raises(ConfigError, match="seed"):
+            build_config({"preset": "front", "scenario": {"seed": seed}})
+
+    def test_seed_range_ends(self):
+        assert preset_config("front", seed=0).seed == 0
+        assert preset_config("front", seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_readme_yaml_blocks_load(tmp_path):
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), flags=re.S)
+    defaults_checked = False
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"block{i}.yaml"
+        path.write_text(block)
+        cfg = load_config(str(path))
+        if block.startswith("# every field at its default"):
+            raw = yaml.safe_load(block)
+            required = {
+                "scenario": {"initial_mean": raw["scenario"]["initial_mean"]},
+                "model": {"qx": raw["model"]["qx"], "qy": raw["model"]["qy"]},
+            }
+            assert_same_config(cfg, build_config(required))
+            defaults_checked = True
+    assert defaults_checked, "README.md lists no config defaults"
