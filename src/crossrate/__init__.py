@@ -12,7 +12,14 @@ from .errors import (
     DomainError,
     NumericsError,
 )
-from .gaussian import GaussianDensity, condition, marginalize, normal_cdf, normal_pdf
+from .gaussian import (
+    GaussianDensity,
+    bivariate_normal_cdf,
+    condition,
+    marginalize,
+    normal_cdf,
+    normal_pdf,
+)
 from .dynamics import (
     MotionModel,
     RadarNoise,

@@ -162,7 +162,11 @@ def cmd_simulate(args, config):
     _write_csv(hist_path, header, rows)
     stats_path = _output(args, "statistics.json")
     _write_json(stats_path, result.entry_stats)
-    return config, {"histogram": str(hist_path), "statistics": str(stats_path)}, {}
+    return (
+        config,
+        {"histogram": str(hist_path), "statistics": str(stats_path)},
+        {"threads": args.threads},
+    )
 
 
 def cmd_intensity(args, config):
@@ -179,7 +183,16 @@ def cmd_intensity(args, config):
 
 
 def cmd_probability(args, config):
-    curve = _curve(config, args, max(args.t2, config.horizon))
+    horizon = max(args.t2, config.horizon)
+    if not args.adaptive:
+        grid = _grid(horizon, args.dt)
+        if len(grid) < 2 or grid[-1] < args.t2:
+            raise ConfigError(
+                f"the grid of step --dt {args.dt:g} s ends at {grid[-1]:g} s; it needs "
+                f"at least 2 points and must reach --t2 {args.t2:g} s",
+                "--dt",
+            )
+    curve = _curve(config, args, horizon)
     if args.adaptive:
         lo = max(args.t1, curve.samples[0].t)
         hi = min(args.t2, curve.samples[-1].t)
@@ -283,7 +296,7 @@ def cmd_compare(args, config):
         + ["spatial_overlap", "ttc_front_rate", "ttc_right_rate"],
         rows,
     )
-    return config, {"compare": str(path)}, {}
+    return config, {"compare": str(path)}, {"threads": args.threads}
 
 
 def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
@@ -296,7 +309,7 @@ def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
         "--seed", type=int, help="campaign seed (falls back to CROSSRATE_SEED)"
     )
     if threads:
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
     if n_traj:
         p.add_argument("--n-traj", type=int, dest="n_traj", help="trajectory count")
 
@@ -306,6 +319,14 @@ def _positive(text: str) -> float:
     value = float(text)
     if not (value > 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 

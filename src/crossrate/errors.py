@@ -14,7 +14,7 @@ class ConfigError(CrossrateError):
 
 
 class NumericsError(CrossrateError):
-    """A numerical procedure failed (singular matrix, lost PSD, quadrature)."""
+    """A numerical procedure failed (singular matrix, lost PSD, Riccati non-convergence)."""
 
 
 class ConvergenceError(NumericsError):

@@ -1,18 +1,19 @@
 """Dense small-dimension Gaussian algebra.
 
-Marginalization, conditioning and 1D normal pdf/cdf evaluation shared by
-the analytic intensity and prediction code.  All operations are pure and
-value-semantic; densities are immutable after construction.
+Marginalization, conditioning, 1D normal pdf/cdf and the bivariate normal
+CDF shared by the analytic intensity and prediction code.  All operations
+are pure and value-semantic; densities are immutable after construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import erfc
+from scipy.special import erfc, owens_t
 
-from .errors import NumericsError
+from .errors import DomainError, NumericsError
 
 _SYM_RTOL = 1e-12
 _PSD_RTOL = 1e-10
@@ -120,6 +121,60 @@ def normal_cdf(z):
     z = np.asarray(z, dtype=float)
     out = 0.5 * erfc(-z / _SQRT2)
     return float(out) if out.ndim == 0 else out
+
+
+def _owen_term(x: float, y: float, rho: float, rho_bar: float) -> float:
+    """The x half of bivariate_normal_cdf: +-Phi(-|x|) / 2 - T(x, a_x).
+
+    The sign is that of -x.  Computed at the scale of its own result, so
+    that a small bivariate CDF keeps its relative accuracy: for |a| > 1
+    the reciprocal identity
+
+        T(x, a) = sgn(a) [(p + q) / 2 - p q - T(|a| x, 1 / |a|)],
+        p = Phi(-|x|),  q = Phi(-|a x|),
+
+    is folded into the Phi term by hand.
+    """
+    if x == 0.0:  # the limit of T(x, a_x) plus its half of beta is 1/4 = Phi(0) / 2
+        return 0.0
+    p = normal_cdf(-abs(x))
+    ax = (y - rho * x) / rho_bar  # a x stays finite where a = ax / x overflows
+    if abs(ax) <= abs(x):
+        return (0.5 * p if x < 0.0 else -0.5 * p) - float(owens_t(x, ax / x))
+    q = normal_cdf(-abs(ax))
+    r = float(owens_t(math.copysign(ax, x), abs(x / ax))) - q * (0.5 - p)
+    if (ax > 0.0) == (x > 0.0):  # a > 0
+        return r if x < 0.0 else r - p
+    return p - r if x < 0.0 else -r
+
+
+def bivariate_normal_cdf(
+    h: float, k: float, rho: float, rho_bar: float | None = None
+) -> float:
+    """P(X <= h, Y <= k) for standard normals X, Y with correlation rho.
+
+    Owen's T form (Owen 1956, Ann. Math. Stat. 27):
+
+        Phi2(h, k) = (Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - beta,
+        a_h = (k - rho h) / (h rho_bar),  rho_bar = sqrt(1 - rho^2),
+
+    where beta = 1/2 if h k < 0 and 0 otherwise; Phi2(0, 0) = 1/4 +
+    asin(rho) / (2 pi).  The constant parts of Phi(h) / 2, Phi(k) / 2 and
+    beta are summed exactly first, so that no tail is the difference of
+    numbers near 1/4.  Pass `rho_bar` when it is known more precisely than
+    from a rounded rho, as sqrt(det) / (sigma_1 sigma_2) of a covariance;
+    it must be > 0.
+    """
+    h, k, rho = float(h), float(k), float(rho)
+    if rho_bar is None:
+        rho_bar = math.sqrt(max((1.0 - rho) * (1.0 + rho), 0.0))
+    if not rho_bar > 0.0:
+        raise DomainError(f"bivariate normal CDF needs |rho| < 1, got rho={rho}")
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.atan2(rho, rho_bar) / (2.0 * math.pi)
+    opposite = h < 0.0 < k or k < 0.0 < h
+    const = 0.5 * ((h > 0.0) + (k > 0.0)) - 0.5 * opposite
+    return const + _owen_term(h, k, rho, rho_bar) + _owen_term(k, h, rho, rho_bar)
 
 
 def normal_pdf(x, mean=0.0, sigma=1.0):

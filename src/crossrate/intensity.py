@@ -5,27 +5,31 @@ boundary segment,
 
     mu+ = -p(x0) * int_{xdot <= 0} int_{y in I} xdot p(xdot, y | x0) dxdot dy
 
-evaluated in the segment frame, either by adaptive 2D quadrature of the
-exact conditional-Gaussian integrand or by closed-form Taylor
+evaluated in the segment frame, either exactly or by Taylor
 approximations in the off-diagonal element of the conditional covariance
-(or of its inverse), which factorize into 1D normal cdf/pdf terms.
+(or of its inverse), which factorize into 1D normal cdf/pdf terms.  The
+exact method evaluates the conditional-Gaussian integrand in closed form
+(Stein's lemma and a bivariate normal CDF); it keeps the name
+`quadrature`, which the CLI and the CSV columns use, from the 2D
+quadrature it replaced.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import integrate
-
 from .errors import NumericsError
-from .gaussian import GaussianDensity, condition, marginalize, normal_cdf, normal_pdf
+from .gaussian import (
+    GaussianDensity,
+    bivariate_normal_cdf,
+    condition,
+    marginalize,
+    normal_cdf,
+    normal_pdf,
+)
 from .geometry import BoundarySegment, HostRectangle, segments, to_segment_frame
 
 METHODS = ("quadrature", "taylor0", "taylor1_inv", "taylor1_cov")
-
-_VEL_SIGMA_SPAN = 8.0  # normal tail beyond 8 sigma is < 1e-15
-_QUAD_RTOL = 1e-8
 
 # Diagnostic counter for Taylor results clamped up to zero; truncation
 # artifacts must not poison temporal integrals but should stay visible.
@@ -116,37 +120,55 @@ def _boundary_conditional(
 
 
 def segment_intensity_quadrature(g4: GaussianDensity, seg: BoundarySegment) -> float:
-    """Entry intensity by adaptive 2D quadrature of the exact expression."""
+    """Entry intensity from the exact integrand, evaluated in closed form.
+
+    With V = xdot and Y = y given x = x0, Stein's lemma gives
+
+        E[V 1{V <= 0, a <= Y <= b}] = mu1 P(V <= 0, a <= Y <= b)
+            - s11 p_V(0) P(a <= Y <= b | V = 0)
+            + s12 [p_Y(a) P(V <= 0 | Y = a) - p_Y(b) P(V <= 0 | Y = b)]
+
+    with the joint probability a difference of bivariate normal CDFs.
+    This is the exact integrand, not an approximation; the method keeps
+    the name of the 2D quadrature it replaced for the CLI and the CSV
+    columns.
+    """
     bc = _boundary_conditional(g4, seg)
     sig1 = math.sqrt(bc.s11)
-    v_lo = bc.mu1 - _VEL_SIGMA_SPAN * sig1
-    v_hi = min(0.0, bc.mu1 + _VEL_SIGMA_SPAN * sig1)
-    if v_hi <= v_lo:
-        return 0.0
+    sig2 = math.sqrt(bc.s22)
     det = bc.s11 * bc.s22 - bc.s12 * bc.s12
-    inv = np.array([[bc.s22, -bc.s12], [-bc.s12, bc.s11]]) / det
-    norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
-
-    def integrand(v, y):
-        dv = v - bc.mu1
-        dy = y - bc.mu2
-        quad = inv[0, 0] * dv * dv + 2.0 * inv[0, 1] * dv * dy + inv[1, 1] * dy * dy
-        return v * norm * math.exp(-0.5 * quad)
-
-    val, err = integrate.dblquad(
-        integrand,
-        bc.y_lo,
-        bc.y_hi,
-        v_lo,
-        v_hi,
-        epsabs=1e-14,
-        epsrel=_QUAD_RTOL,
+    rho = bc.s12 / (sig1 * sig2)
+    rho_bar = math.sqrt(det) / (sig1 * sig2)  # not from rho: |rho| may round to 1
+    h = -bc.mu1 / sig1
+    k_lo = (bc.y_lo - bc.mu2) / sig2
+    k_hi = (bc.y_hi - bc.mu2) / sig2
+    # Y given V = 0, and V given Y = y
+    y_at_v0 = bc.mu2 - bc.s12 / bc.s11 * bc.mu1
+    sd_y_at_v = math.sqrt(det / bc.s11)
+    z_lo = (bc.y_lo - y_at_v0) / sd_y_at_v
+    z_hi = (bc.y_hi - y_at_v0) / sd_y_at_v
+    # a band in the upper tail of Y is mirrored into the lower tail, where
+    # the two CDFs are small and their difference keeps its relative accuracy
+    if k_lo > 0.0:
+        k_lo, k_hi, rho = -k_hi, -k_lo, -rho
+    if z_lo > 0.0:
+        z_lo, z_hi = -z_hi, -z_lo
+    p_joint = bivariate_normal_cdf(h, k_hi, rho, rho_bar) - bivariate_normal_cdf(
+        h, k_lo, rho, rho_bar
     )
-    if err > max(1e-6 * abs(val), 1e-10):
-        raise NumericsError(
-            f"2D quadrature did not converge (estimate {val:g}, error {err:g})"
-        )
-    return max(0.0, -bc.pdf_x0 * val)
+    p_lat = normal_cdf(z_hi) - normal_cdf(z_lo)
+    sd_v_at_y = math.sqrt(det / bc.s22)
+
+    def edge_flux(y: float) -> float:
+        v_at_y = bc.mu1 + bc.s12 / bc.s22 * (y - bc.mu2)
+        return normal_pdf(y, bc.mu2, sig2) * normal_cdf(-v_at_y / sd_v_at_y)
+
+    integral = (
+        bc.mu1 * p_joint
+        - bc.s11 * normal_pdf(0.0, bc.mu1, sig1) * p_lat
+        + bc.s12 * (edge_flux(bc.y_lo) - edge_flux(bc.y_hi))
+    )
+    return max(0.0, -bc.pdf_x0 * integral)
 
 
 def _zeroth_order(mu1, sig1, mu2, sig2, y_lo, y_hi) -> float:

@@ -6,7 +6,8 @@ scenario's predicted density, and `intensity_curve` samples it on a given
 time grid.  Also temporal integration of the entry intensity (expected
 number of entries, an upper bound on the collision probability),
 deterministic TTC seeds, the adaptive curve sampler, and the
-spatial-overlap comparator.
+spatial-overlap comparator, a rectangle probability of the positional
+marginal in closed form (four bivariate normal CDFs).
 """
 from __future__ import annotations
 
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
-from scipy import integrate
 
 from .dynamics import StateVector
 from .errors import NumericsError
-from .gaussian import GaussianDensity, marginalize
+from .gaussian import GaussianDensity, bivariate_normal_cdf
 from .geometry import HostRectangle
 from .intensity import RateSample, total_intensity
 
@@ -262,30 +262,25 @@ def spatial_overlap_probability(g6: GaussianDensity, rect: HostRectangle) -> flo
 
     The instantaneous spatial-overlap criterion; kept as a comparator
     for the rate-based bound, not as a collision probability over time.
+    Evaluated in closed form as the four-corner sum of bivariate normal
+    CDFs over the rectangle.
     """
-    g2 = marginalize(g6, (0, 1)) if g6.dim > 2 else g6
-    det = np.linalg.det(g2.cov)
-    if det <= 0.0:
+    mx, my = g6.mean[:2]
+    (vx, cxy), (_, vy) = g6.cov[:2, :2]
+    det = vx * vy - cxy * cxy
+    if vx <= 0.0 or det <= 0.0:
         raise NumericsError("positional covariance is singular")
-    inv = np.linalg.inv(g2.cov)
-    norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
-    mx, my = g2.mean
+    sx, sy = math.sqrt(vx), math.sqrt(vy)
+    rho = cxy / (sx * sy)
+    rho_bar = math.sqrt(det) / (sx * sy)
 
-    def integrand(y, x):
-        dx = x - mx
-        dy = y - my
-        quad = inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dy + inv[1, 1] * dy * dy
-        return norm * math.exp(-0.5 * quad)
+    def corner(x: float, y: float) -> float:
+        return bivariate_normal_cdf((x - mx) / sx, (y - my) / sy, rho, rho_bar)
 
-    val, err = integrate.dblquad(
-        integrand,
-        rect.x_rear,
-        rect.x_front,
-        rect.y_left,
-        rect.y_right,
-        epsabs=1e-10,
-        epsrel=1e-8,
+    val = (
+        corner(rect.x_front, rect.y_right)
+        - corner(rect.x_rear, rect.y_right)
+        - corner(rect.x_front, rect.y_left)
+        + corner(rect.x_rear, rect.y_left)
     )
-    if err > max(1e-6 * abs(val), 1e-8):
-        raise NumericsError(f"overlap quadrature did not converge (error {err:g})")
     return min(max(val, 0.0), 1.0)

@@ -1,6 +1,10 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,11 @@ class TestSimulate:
         assert (a / "statistics.json").read_bytes() == (
             b / "statistics.json"
         ).read_bytes()
+
+    def test_manifest_records_threads(self, tmp_path):
+        argv = ["simulate", *FRONT_SMALL, "--threads", "3", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["threads"] == 3
 
     def test_zero_trajectories_exit_2(self, tmp_path, capsys):
         code = main(
@@ -355,6 +364,7 @@ class TestCompare:
             "ttc_front_rate",
             "ttc_right_rate",
         }
+        assert json.loads((out / "manifest.json").read_text())["threads"] == 1
 
 
 class TestErrorPaths:
@@ -419,6 +429,10 @@ class TestInvalidInputExit2:
             ["probability", "--t1=-1", "--t2", "2", "--method", "taylor0", "--dt", "1"],
             ["probability", "--t1=-1", "--t2", "6", "--adaptive", "--method", "taylor0"],
             ["probability", "--t2", "inf", "--method", "taylor0"],
+            ["simulate", "--threads", "0"],
+            ["simulate", "--threads=-3"],
+            ["compare", "--threads", "0"],
+            ["compare", "--threads=-3"],
         ],
     )
     def test_bad_flag(self, tmp_path, argv):
@@ -426,6 +440,16 @@ class TestInvalidInputExit2:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--preset", "front", "--out-dir", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t2, dt", [("8", "3"), ("6", "100")])
+    def test_dense_grid_short_of_t2(self, tmp_path, capsys, t2, dt):
+        """A --dt grid that ends before --t2, or has one point, cannot be integrated."""
+        out = tmp_path / "out"
+        argv = ["probability", "--preset", "front", "--t2", t2, "--dt", dt]
+        assert main([*argv, "--method", "taylor0", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--dt" in err and "--t2" in err
         assert not out.exists()
 
     # the field named in the error -> the YAML that gets it wrong, over `preset: front`
@@ -464,6 +488,19 @@ class TestInvalidInputExit2:
     def test_largest_seed_runs(self, tmp_path):
         argv = ["simulate", "--preset", "front", "--n-traj", "16", "--out-dir", str(tmp_path)]
         assert main([*argv, "--seed", str(2**64 - 1)]) == 0
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """The library computes in closed form; scipy.integrate costs ~20 MB to import."""
+    import crossrate
+
+    src = str(Path(crossrate.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, crossrate, crossrate.cli; sys.exit('scipy.integrate' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=60
+    )
+    assert result.returncode == 0
 
 
 def test_csv_numbers_are_locale_independent(tmp_path):

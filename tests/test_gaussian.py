@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from crossrate import GaussianDensity, condition, marginalize, normal_cdf, normal_pdf
-from crossrate.errors import NumericsError
+from crossrate import (
+    GaussianDensity,
+    bivariate_normal_cdf,
+    condition,
+    marginalize,
+    normal_cdf,
+    normal_pdf,
+)
+from crossrate.errors import DomainError, NumericsError
 
 
 def random_density(rng, dim):
@@ -176,6 +183,59 @@ class TestNormalCdf:
         zs = np.linspace(-6, 6, 200)
         vals = [normal_cdf(z) for z in zs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def scipy_bivariate_cdf(h, k, rho):
+    cov = [[1.0, rho], [rho, 1.0]]
+    return stats.multivariate_normal(cov=cov, allow_singular=True).cdf([h, k])
+
+
+class TestBivariateNormalCdf:
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.999])
+    def test_both_zero(self, rho):
+        expected = 0.25 + math.asin(rho) / (2 * math.pi)
+        assert bivariate_normal_cdf(0.0, 0.0, rho) == pytest.approx(expected, abs=1e-16)
+
+    @pytest.mark.parametrize("k", [-3.0, -0.4, 0.7, 2.5])
+    @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.6])
+    def test_one_zero(self, k, rho):
+        want = scipy_bivariate_cdf(0.0, k, rho)
+        assert bivariate_normal_cdf(0.0, k, rho) == pytest.approx(want, abs=1e-14)
+        assert bivariate_normal_cdf(k, 0.0, rho) == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "h, k", [(0.3, -1.2), (2.0, 1.5), (-10.0, -1.0), (-6.0, 6.0), (3.0, -6.0)]
+    )
+    def test_independent_is_product(self, h, k):
+        """rho = 0 gives Phi(h) Phi(k), to relative accuracy even in a far tail."""
+        expected = normal_cdf(h) * normal_cdf(k)
+        assert bivariate_normal_cdf(h, k, 0.0) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("rho", [-0.999999, 0.999999])
+    @pytest.mark.parametrize("h, k", [(0.0, 0.0), (0.5, 0.5), (-1.0, 1.3), (2.0, -0.3)])
+    def test_near_unit_correlation(self, rho, h, k):
+        want = scipy_bivariate_cdf(h, k, rho)
+        assert bivariate_normal_cdf(h, k, rho) == pytest.approx(want, abs=1e-14)
+
+    def test_random_points_match_scipy(self):
+        rng = np.random.default_rng(702)
+        for i in range(300):
+            h, k = rng.normal(0.0, 2.0, 2)
+            h, k = (0.0 if i % 10 == 0 else h), (0.0 if i % 15 == 0 else k)
+            rho = rng.uniform(-1.0, 1.0)
+            want = scipy_bivariate_cdf(h, k, rho)
+            assert bivariate_normal_cdf(h, k, rho) == pytest.approx(want, abs=1e-14)
+
+    def test_precise_complement_accepted(self):
+        """rho rounded to 1 is usable when sqrt(1 - rho^2) is passed exactly."""
+        rho_bar = 1e-9
+        got = bivariate_normal_cdf(0.0, 0.0, 1.0, rho_bar)
+        assert got == pytest.approx(0.5 - rho_bar / (2 * math.pi), abs=1e-16)
+
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_unit_correlation_rejected(self, rho):
+        with pytest.raises(DomainError):
+            bivariate_normal_cdf(0.3, 0.2, rho)
 
 
 class TestNormalPdf:

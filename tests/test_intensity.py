@@ -1,9 +1,12 @@
-"""Entry intensity: quadrature path, Taylor closed forms, total over segments."""
+"""Entry intensity: exact closed form, Taylor closed forms, total over segments."""
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 import crossrate as cr
 from crossrate import (
@@ -25,8 +28,10 @@ from crossrate.geometry import BoundarySegment, segments
 from crossrate.intensity import (
     METHODS,
     RateSample,
+    _boundary_conditional,
     clamp_count,
     reset_clamp_count,
+    segment_intensity_quadrature,
 )
 
 RECT = HostRectangle(0.0, -5.0, -1.0, 1.0)
@@ -99,6 +104,130 @@ class TestQuadrature:
         )
         val = segment_intensity(g, wide, method="quadrature")
         assert val == pytest.approx(expected, rel=1e-6)
+
+
+def entry_intensity_oracle(g4, seg):
+    """mu+ of one side by 2D quadrature of the exact integrand.
+
+    The reference for the closed form of `segment_intensity_quadrature`.
+    It is the 2D quadrature that method ran before, with changes that
+    keep it accurate as |rho| -> 1: the density is factorized as
+    p(y) p(xdot | y), and the inner velocity integral spans +-40
+    conditional sigma around the ridge xdot = E[xdot | y] instead of
+    +-8 marginal sigma around the mean, which missed a narrow ridge; the
+    outer integral is cut to +-40 sigma of y.
+    """
+    bc = _boundary_conditional(g4, seg)
+    slope = bc.s12 / bc.s22
+    sd_v = math.sqrt((bc.s11 * bc.s22 - bc.s12 * bc.s12) / bc.s22)
+    sd_y = math.sqrt(bc.s22)
+    norm = 1.0 / (2.0 * math.pi * sd_v * sd_y)
+
+    def velocity_integral(y):
+        ridge = bc.mu1 + slope * (y - bc.mu2)
+        lo, hi = ridge - 40.0 * sd_v, min(0.0, ridge + 40.0 * sd_v)
+        if hi <= lo:
+            return 0.0
+        zy = (y - bc.mu2) / sd_y
+
+        def integrand(v):
+            zv = (v - ridge) / sd_v
+            return v * norm * math.exp(-0.5 * (zv * zv + zy * zy))
+
+        points = [p for p in (ridge - sd_v, ridge, ridge + sd_v) if lo < p < hi]
+        return integrate.quad(
+            integrand, lo, hi, points=points or None, epsabs=1e-300, epsrel=1e-12, limit=200
+        )[0]
+
+    # the lateral band cut to +-40 sigma of y, and breakpoints where the
+    # ridge crosses xdot = 0, in units of its own width
+    y_lo, y_hi = max(bc.y_lo, bc.mu2 - 40.0 * sd_y), min(bc.y_hi, bc.mu2 + 40.0 * sd_y)
+    if y_hi <= y_lo:
+        return 0.0
+    points = []
+    if slope != 0.0:
+        y0, width = bc.mu2 - bc.mu1 / slope, sd_v / abs(slope)
+        points = [y0 + d * width for d in (-40, -5, -1, 0, 1, 5, 40)]
+    points = [y for y in points if y_lo < y < y_hi]
+    val = integrate.quad(
+        velocity_integral,
+        y_lo,
+        y_hi,
+        points=points or None,
+        epsabs=1e-300,
+        epsrel=1e-12,
+        limit=200,
+    )[0]
+    return max(0.0, -bc.pdf_x0 * val)
+
+
+@st.composite
+def boundary_densities(draw):
+    """(x, y, xdot, ydot) densities about the host rectangle.
+
+    Random PSD covariances: a rank-2 factor plus a 1e-6 nugget drives the
+    conditional |rho| of every side to 1.  Means on a side's end, a zero
+    normal velocity and receding targets are all drawn.
+    """
+    rank = draw(st.sampled_from([2, 4]))
+    factor = draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * rank, max_size=4 * rank))
+    factor = np.reshape(factor, (4, rank))
+    nugget = draw(st.sampled_from([1e-6, 1e-3, 0.1, 1.0]))
+    cov = factor @ factor.T + nugget * np.eye(4)
+    sd = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=4, max_size=4)))
+    scale = sd / np.sqrt(np.diag(cov))
+    cov = cov * np.outer(scale, scale)
+    x = draw(st.sampled_from([RECT.x_front, RECT.x_rear]) | st.floats(-7.0, 2.0))
+    y = draw(st.sampled_from([RECT.y_left, RECT.y_right]) | st.floats(-3.0, 3.0))
+    xdot = draw(st.just(0.0) | st.floats(-5.0, 5.0))
+    ydot = draw(st.floats(-5.0, 5.0))
+    return density_4d([x, y, xdot, ydot], cov)
+
+
+class TestClosedFormAgainstIntegrand:
+    @settings(max_examples=60, deadline=None)
+    @given(g=boundary_densities())
+    def test_matches_quadrature_of_integrand(self, g):
+        """Relative 1e-10 where mu+ > 1e-6 of the peak side, else absolute 1e-14.
+
+        Near |rho| = 1 the value itself is ill-conditioned: rounding s12
+        moves mu+ by up to eps / (1 - |rho|) relative, so the relative
+        bound widens to 1e-15 / (1 - |rho|) where that is larger.  Values
+        below 1e-10 are held to the absolute bound: there the Stein terms
+        cancel to more digits than the relative bound leaves.
+        """
+        sides = segments(RECT)
+        got = [segment_intensity_quadrature(g, seg) for seg in sides]
+        want = [entry_intensity_oracle(g, seg) for seg in sides]
+        floor = max(1e-6 * max(want), 1e-10)
+        for seg, value, ref in zip(sides, got, want):
+            if ref > floor:
+                bc = _boundary_conditional(g, seg)
+                rho = abs(bc.s12) / math.sqrt(bc.s11 * bc.s22)
+                rel = max(1e-10, 1e-15 / (1.0 - rho))
+                assert value == pytest.approx(ref, rel=rel), seg.name
+            else:
+                assert abs(value - ref) <= 1e-14, seg.name
+
+    def test_ridge_near_unit_correlation(self):
+        """|rho| -> 1 with the mean inbound: mu+ tends to p(x0) E[(-xdot)+ ; y in I]."""
+        c = 1.0 - 1e-9
+        cov = np.array(
+            [
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, 1.0, c, 0.0],
+                [0.0, c, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        g = density_4d([0.3, 0.0, -5.0, 0.0], cov)
+        # xdot = -5 + y exactly in the limit, which is < 0 on all of I = [-1, 1]
+        expected = normal_pdf(0.0, 0.3, 1.0) * (
+            5.0 * (normal_cdf(1.0) - normal_cdf(-1.0))
+        )
+        val = segment_intensity(g, FRONT, method="quadrature")
+        assert val == pytest.approx(expected, rel=1e-4)
+        assert val == pytest.approx(entry_intensity_oracle(g, FRONT), rel=1e-10)
 
 
 class TestTaylorForms:

@@ -4,10 +4,14 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from crossrate import (
     GaussianDensity,
     HostRectangle,
+    NumericsError,
     StateVector,
     adaptive_sample,
     deterministic_ttc_seeds,
@@ -281,7 +285,54 @@ class TestIntensityCurve:
         assert intensity_curve(cfg, (), method).samples == ()
 
 
+def overlap_oracle(g, rect):
+    """Positional mass in the rectangle by 2D quadrature of the density.
+
+    The algorithm `spatial_overlap_probability` ran before its closed
+    form, kept as its reference with tighter tolerances.
+    """
+    mx, my = g.mean[:2]
+    inv = np.linalg.inv(g.cov[:2, :2])
+    norm = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(g.cov[:2, :2])))
+
+    def integrand(y, x):
+        dx = x - mx
+        dy = y - my
+        quad = inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dy + inv[1, 1] * dy * dy
+        return norm * math.exp(-0.5 * quad)
+
+    val, _ = integrate.dblquad(
+        integrand,
+        rect.x_rear,
+        rect.x_front,
+        rect.y_left,
+        rect.y_right,
+        epsabs=1e-14,
+        epsrel=1e-12,
+    )
+    return val
+
+
 class TestSpatialOverlap:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mean=st.tuples(st.floats(-8.0, 3.0), st.floats(-3.0, 3.0)),
+        sd=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+        rho=st.floats(-0.95, 0.95),
+    )
+    def test_matches_quadrature_of_density(self, mean, sd, rho):
+        c = rho * sd[0] * sd[1]
+        cov = np.eye(6)
+        cov[:2, :2] = [[sd[0] ** 2, c], [c, sd[1] ** 2]]
+        g = GaussianDensity([*mean, 0, 0, 0, 0], cov)
+        got = spatial_overlap_probability(g, RECT)
+        assert got == pytest.approx(overlap_oracle(g, RECT), abs=1e-12)
+
+    def test_singular_positional_covariance_raises(self):
+        g = GaussianDensity([-2.0, 0.0, 0, 0, 0, 0], np.diag([1.0, 0.0, 1, 1, 1, 1]))
+        with pytest.raises(NumericsError):
+            spatial_overlap_probability(g, RECT)
+
     def test_tight_density_inside(self):
         g = GaussianDensity(
             [-2.0, 0.0, 0, 0, 0, 0], np.diag([1e-4, 1e-4, 1, 1, 1, 1])
