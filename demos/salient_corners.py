@@ -1,8 +1,9 @@
 """Extended-target corners: intensity at salient points of the target.
 
 Transforms the reference-point density to body-frame corner offsets with
-the analytic Jacobian and compares the closed-form intensity
-approximations against quadrature at each corner.
+the Jacobian of the salient map, its complex-step derivative, and
+compares the closed-form intensity approximations against quadrature at
+each corner.
 """
 import numpy as np
 

@@ -375,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--offset",
         action="append",
-        help="body-frame offset 'dx,dy' (repeatable; default 0,0)",
+        help="body-frame offset 'dx,dy' (repeatable; default 0,0); write one that "
+        "starts with '-' as --offset=DX,DY, e.g. --offset=-4,-0.9",
     )
     p.add_argument("--dt", type=_positive, default=0.05, help="grid step, s")
     p.set_defaults(fn=cmd_salient)

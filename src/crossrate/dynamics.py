@@ -288,14 +288,38 @@ def steady_state_covariance(
     )
 
 
-def _rot(alpha: float) -> np.ndarray:
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c, -s], [s, c]])
+def _salient_map(x: np.ndarray, delta: np.ndarray, jerk: np.ndarray) -> np.ndarray:
+    """The salient-point map of a state array (6, ...), real or complex.
+
+    The heading enters as (cos, sin) = (vx, vy) / |v|, not through atan2,
+    so the map is analytic and salient_jacobian can take its complex step.
+    """
+    px, py, vx, vy, ax, ay = x
+    v2 = vx * vx + vy * vy
+    speed = np.sqrt(v2)
+    cos, sin = vx / speed, vy / speed
+    alpha_dot = (vx * ay - vy * ax) / v2
+    alpha_ddot = (
+        2.0 * (vx * vy * (ax * ax - ay * ay) - ax * ay * (vx * vx - vy * vy)) / (v2 * v2)
+        + (vx * jerk[1] - vy * jerk[0]) / v2
+    )
+    # R delta = (rx, ry) with R the rotation by the heading; R' delta = (-ry, rx)
+    rx = cos * delta[0] - sin * delta[1]
+    ry = sin * delta[0] + cos * delta[1]
+    return np.array([
+        px + rx, py + ry,
+        vx - alpha_dot * ry, vy + alpha_dot * rx,
+        ax - alpha_dot * alpha_dot * rx - alpha_ddot * ry,
+        ay - alpha_dot * alpha_dot * ry + alpha_ddot * rx,
+    ])
 
 
-def _rot_prime(alpha: float) -> np.ndarray:
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[-s, -c], [c, -s]])
+def _salient_args(s: StateVector, off: SalientOffset, model: MotionModel | None, t: float):
+    """(state, offset, jerk) arrays of a salient transform at time t."""
+    if s.speed <= EPS_SPEED:
+        raise DomainError(f"orientation undefined: speed {s.speed:g} <= {EPS_SPEED:g} m/s")
+    jerk = model.jerk_input(t) if model is not None else np.zeros(2)
+    return s.as_array(), off.as_array(), jerk
 
 
 def salient_transform_state(
@@ -311,34 +335,7 @@ def salient_transform_state(
     the second derivative given by the deterministic input (zero when the
     input is disabled).
     """
-    vx, vy = s.xdot, s.ydot
-    v2 = vx * vx + vy * vy
-    if math.sqrt(v2) <= EPS_SPEED:
-        raise DomainError(
-            f"orientation undefined: speed {math.sqrt(v2):g} <= {EPS_SPEED:g} m/s"
-        )
-    ax, ay = s.xddot, s.yddot
-    jerk = model.jerk_input(t) if model is not None else np.zeros(2)
-
-    alpha = math.atan2(vy, vx)
-    alpha_dot = (vx * ay - vy * ax) / v2
-    alpha_ddot = (
-        2.0 * (vx * vy * (ax * ax - ay * ay) - ax * ay * (vx * vx - vy * vy)) / v2**2
-        + (vx * jerk[1] - vy * jerk[0]) / v2
-    )
-
-    rot = _rot(alpha)
-    rot_p = _rot_prime(alpha)
-    delta = off.as_array()
-
-    pos = np.array([s.x, s.y]) + rot @ delta
-    vel = np.array([vx, vy]) + alpha_dot * (rot_p @ delta)
-    acc = (
-        np.array([ax, ay])
-        - alpha_dot * alpha_dot * (rot @ delta)
-        + alpha_ddot * (rot_p @ delta)
-    )
-    return StateVector(pos[0], pos[1], vel[0], vel[1], acc[0], acc[1])
+    return StateVector.from_array(_salient_map(*_salient_args(s, off, model, t)))
 
 
 def salient_jacobian(
@@ -347,65 +344,17 @@ def salient_jacobian(
     model: MotionModel | None = None,
     t: float = 0.0,
 ) -> np.ndarray:
-    """Analytic 6x6 Jacobian of the salient-point transformation."""
-    vx, vy = s.xdot, s.ydot
-    v2 = vx * vx + vy * vy
-    if math.sqrt(v2) <= EPS_SPEED:
-        raise DomainError(
-            f"orientation undefined: speed {math.sqrt(v2):g} <= {EPS_SPEED:g} m/s"
-        )
-    ax, ay = s.xddot, s.yddot
-    jerk = model.jerk_input(t) if model is not None else np.zeros(2)
+    """6x6 Jacobian of the salient-point transformation.
 
-    alpha = math.atan2(vy, vx)
-    alpha_dot = (vx * ay - vy * ax) / v2
-
-    # Gradients with respect to the full state (x, y, vx, vy, ax, ay)
-    grad_alpha = np.zeros(STATE_DIM)
-    grad_alpha[2] = -vy / v2
-    grad_alpha[3] = vx / v2
-
-    grad_adot = np.zeros(STATE_DIM)
-    grad_adot[2] = ay / v2 - 2.0 * vx * alpha_dot / v2
-    grad_adot[3] = -ax / v2 - 2.0 * vy * alpha_dot / v2
-    grad_adot[4] = -vy / v2
-    grad_adot[5] = vx / v2
-
-    a_num = 2.0 * (vx * vy * (ax * ax - ay * ay) - ax * ay * (vx * vx - vy * vy))
-    n1 = a_num / v2**2
-    n2 = (vx * jerk[1] - vy * jerk[0]) / v2
-    alpha_ddot = n1 + n2
-
-    grad_addot = np.zeros(STATE_DIM)
-    da_dvx = 2.0 * (vy * (ax * ax - ay * ay) - 2.0 * vx * ax * ay)
-    da_dvy = 2.0 * (vx * (ax * ax - ay * ay) + 2.0 * vy * ax * ay)
-    da_dax = 2.0 * (2.0 * vx * vy * ax - ay * (vx * vx - vy * vy))
-    da_day = 2.0 * (-2.0 * vx * vy * ay - ax * (vx * vx - vy * vy))
-    grad_addot[2] = da_dvx / v2**2 - 4.0 * n1 * vx / v2 + jerk[1] / v2 - 2.0 * n2 * vx / v2
-    grad_addot[3] = da_dvy / v2**2 - 4.0 * n1 * vy / v2 - jerk[0] / v2 - 2.0 * n2 * vy / v2
-    grad_addot[4] = da_dax / v2**2
-    grad_addot[5] = da_day / v2**2
-
-    rot = _rot(alpha)
-    rot_p = _rot_prime(alpha)
-    delta = off.as_array()
-    rd = rot @ delta
-    rpd = rot_p @ delta
-    # d/dalpha of R' is -R
-    rppd = -rd
-
-    jac = np.eye(STATE_DIM)
-    # position rows: d(pos)/d(state) = I(pos) + R' delta (x) grad_alpha
-    jac[0:2, :] += np.outer(rpd, grad_alpha)
-    # velocity rows
-    jac[2:4, :] += np.outer(rpd, grad_adot) + alpha_dot * np.outer(rppd, grad_alpha)
-    # acceleration rows
-    jac[4:6, :] += (
-        np.outer(-2.0 * alpha_dot * rd, grad_adot)
-        + np.outer(rpd, grad_addot)
-        + np.outer(-alpha_dot * alpha_dot * rpd + alpha_ddot * rppd, grad_alpha)
-    )
-    return jac
+    The complex-step derivative Im f(x + i h e_j) / h of the map that
+    salient_transform_state evaluates, all six columns in one call.  It
+    subtracts no nearly equal values, so it is exact to rounding (Squire &
+    Trapp 1998, SIAM Rev. 40; Martins, Sturdza & Alonso 2003, ACM TOMS 29).
+    """
+    x, delta, jerk = _salient_args(s, off, model, t)
+    h = 1e-30
+    probes = x[:, np.newaxis] + 1j * h * np.eye(STATE_DIM)  # column j is x + i h e_j
+    return _salient_map(probes, delta, jerk).imag / h
 
 
 def salient_transform_density(

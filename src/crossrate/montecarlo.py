@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -101,14 +101,19 @@ def _traj_rng(seed: int, traj_id: int) -> np.random.Generator:
     )
 
 
-def sample_initial(
-    config: ScenarioConfig, rng: np.random.Generator, cov_factor: np.ndarray | None = None
-) -> StateVector:
+def _initial_states(
+    config: ScenarioConfig, cov_factor: np.ndarray, rngs: Iterable[np.random.Generator]
+) -> np.ndarray:
+    """Initial states (n, 6): row j is mean + cov_factor @ z, z drawn from rngs[j]."""
+    mean = config.initial_mean.as_array()
+    rows = (mean + cov_factor @ rng.standard_normal(6) for rng in rngs)
+    return np.fromiter(rows, dtype=(float, 6))
+
+
+def sample_initial(config: ScenarioConfig, rng: np.random.Generator) -> StateVector:
     """Draw one initial state from N(mean, P0) on the given stream."""
-    if cov_factor is None:
-        cov_factor = psd_factor(config.resolve_initial_cov())
-    draw = config.initial_mean.as_array() + cov_factor @ rng.standard_normal(6)
-    return StateVector.from_array(draw)
+    cov_factor = psd_factor(config.resolve_initial_cov())
+    return StateVector.from_array(_initial_states(config, cov_factor, [rng])[0])
 
 
 def _step_kernel(config: ScenarioConfig):
@@ -197,10 +202,7 @@ def _simulate_batch(
     n_seg = len(SEGMENT_ORDER)
     b = len(traj_ids)
     rngs = [_traj_rng(config.seed, int(tid)) for tid in traj_ids]
-    mean = config.initial_mean.as_array()
-    x = np.empty((b, 6))
-    for j, rng in enumerate(rngs):
-        x[j] = mean + cov_factor @ rng.standard_normal(6)
+    x = _initial_states(config, cov_factor, rngs)
     crossings = _stream_crossings(config, x, rngs, kernel)
     ev = crossings.ordered(crossings.entry & (crossings.time <= config.horizon))
 
@@ -285,14 +287,10 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
     def run_batch(ids):
         return _simulate_batch(config, ids, cov_factor, kernel)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # merge strictly in batch order: results independent of schedule
-            for counts in pool.map(run_batch, batches):
-                process(counts)
-    else:
-        for ids in batches:
-            process(run_batch(ids))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # merge strictly in batch order: results independent of schedule
+        for counts in pool.map(run_batch, batches):
+            process(counts)
 
     first_boundary_totals = {k: int(v) for k, v in zip(SEGMENT_ORDER, boundary)}
     n_collided = sum(multiplicity.values())
@@ -331,13 +329,12 @@ def ttc_monte_carlo(config: ScenarioConfig) -> dict:
         raise ConfigError(
             "TTC Monte-Carlo requires the deterministic input disabled", "model.input_enabled"
         )
-    cov_factor = psd_factor(config.resolve_initial_cov())
-    mean = config.initial_mean.as_array()
     n = config.n_traj
-    states = np.empty((n, 6))
-    for i in range(n):
-        rng = _traj_rng(config.seed, i)
-        states[i] = mean + cov_factor @ rng.standard_normal(6)
+    states = _initial_states(
+        config,
+        psd_factor(config.resolve_initial_cov()),
+        (_traj_rng(config.seed, i) for i in range(n)),
+    )
 
     n_bins = config.n_bins
     edges = np.arange(n_bins + 1) * config.bin_width

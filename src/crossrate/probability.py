@@ -34,7 +34,6 @@ class RateCurve:
     samples: tuple[RateSample, ...]
     t_start: float
     t_end: float
-    evaluations: int = 0
     warning: str | None = None
 
     def __post_init__(self):
@@ -45,8 +44,11 @@ class RateCurve:
         if samples and (times[0] < self.t_start or times[-1] > self.t_end):
             raise ValueError("sample times must lie within [t_start, t_end]")
         object.__setattr__(self, "samples", samples)
-        if self.evaluations == 0:
-            object.__setattr__(self, "evaluations", len(samples))
+
+    @property
+    def evaluations(self) -> int:
+        """Intensity evaluations behind the curve: one per sample."""
+        return len(self.samples)
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -213,7 +215,6 @@ def adaptive_sample(
                 tuple(cache[t] for t in ordered),
                 t1,
                 t2,
-                evaluations=len(cache),
                 warning="no seeds and zero intensity on fallback grid",
             )
 
@@ -252,9 +253,7 @@ def adaptive_sample(
                 ev(t)
 
     ordered = sorted(cache)
-    return RateCurve(
-        tuple(cache[t] for t in ordered), t1, t2, evaluations=len(cache)
-    )
+    return RateCurve(tuple(cache[t] for t in ordered), t1, t2)
 
 
 def spatial_overlap_probability(g6: GaussianDensity, rect: HostRectangle) -> float:

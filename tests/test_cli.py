@@ -326,6 +326,15 @@ class TestSalient:
                 "mu_total_taylor1_cov",
             }
 
+    def test_negative_offset_in_equals_form(self, tmp_path):
+        """A negative offset is passed as --offset=DX,DY, which argparse cannot read as a flag."""
+        out = tmp_path / "s"
+        args = ["salient", "--preset", "front", "--offset=-4,-0.9", "--dt", "2.0"]
+        assert main([*args, "--out-dir", str(out)]) == 0
+        assert read_csv(out / "salient_0.csv")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["offsets"] == [[-4.0, -0.9]]
+
     def test_bad_offset_exit_2(self, tmp_path):
         assert (
             main(

@@ -21,7 +21,7 @@ from crossrate import (
     steady_state_covariance,
     transition_matrix,
 )
-from crossrate.dynamics import salient_jacobian
+from crossrate.dynamics import EPS_SPEED, salient_jacobian
 from crossrate.errors import DomainError
 
 CA_MODEL = MotionModel(qx=1.0, qy=1.0)
@@ -284,6 +284,20 @@ class TestSalientTransform:
             salient_transform_state(
                 StateVector(0, 0, 1e-6, 0, 0, 0), SalientOffset(1.0, 0.0)
             )
+
+    def test_jacobian_and_density_reject_near_zero_speed(self):
+        s = StateVector(0, 0, 0.6 * EPS_SPEED, -0.6 * EPS_SPEED, 1, 0)
+        off = SalientOffset(1.0, 0.0)
+        with pytest.raises(DomainError):
+            salient_jacobian(s, off)
+        with pytest.raises(DomainError):
+            salient_transform_density(GaussianDensity(s.as_array(), np.eye(6)), off)
+
+    def test_zero_offset_jacobian_is_exact_identity(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            jac = salient_jacobian(random_state(rng), SalientOffset(0.0, 0.0), INPUT_MODEL, t=1.3)
+            np.testing.assert_array_equal(jac, np.eye(6))
 
     def test_jacobian_finite_difference(self):
         rng = np.random.default_rng(4)

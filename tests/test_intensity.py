@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -140,15 +140,17 @@ def entry_intensity_oracle(g4, seg):
         )[0]
 
     # the lateral band cut to +-40 sigma of y, and breakpoints where the
-    # ridge crosses xdot = 0, in units of its own width
+    # ridge crosses xdot = 0, in units of its own width; for a tiny slope
+    # the crossing lies beyond the float range, and only finite ones count
     y_lo, y_hi = max(bc.y_lo, bc.mu2 - 40.0 * sd_y), min(bc.y_hi, bc.mu2 + 40.0 * sd_y)
     if y_hi <= y_lo:
         return 0.0
     points = []
     if slope != 0.0:
-        y0, width = bc.mu2 - bc.mu1 / slope, sd_v / abs(slope)
-        points = [y0 + d * width for d in (-40, -5, -1, 0, 1, 5, 40)]
-    points = [y for y in points if y_lo < y < y_hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            y0, width = bc.mu2 - bc.mu1 / slope, sd_v / abs(slope)
+            points = [y0 + d * width for d in (-40, -5, -1, 0, 1, 5, 40)]
+    points = [y for y in points if math.isfinite(y) and y_lo < y < y_hi]
     val = integrate.quad(
         velocity_integral,
         y_lo,
@@ -184,9 +186,19 @@ def boundary_densities(draw):
     return density_4d([x, y, xdot, ydot], cov)
 
 
+def subnormal_cross_covariance_density():
+    """Unit covariance but for a subnormal cov(x, ydot): the ridge slope of
+    the right and left sides is subnormal, and their ridge crossing of
+    ydot = 0 lies beyond the float range."""
+    cov = np.eye(4)
+    cov[0, 3] = cov[3, 0] = 2.22507275e-310
+    return density_4d([0.0, -1.0, 0.0, 0.0], cov)
+
+
 class TestClosedFormAgainstIntegrand:
     @settings(max_examples=60, deadline=None)
     @given(g=boundary_densities())
+    @example(g=subnormal_cross_covariance_density())
     def test_matches_quadrature_of_integrand(self, g):
         """Relative 1e-10 where mu+ > 1e-6 of the peak side, else absolute 1e-14.
 

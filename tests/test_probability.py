@@ -66,6 +66,14 @@ class TestRateCurve:
         np.testing.assert_allclose(c.segment_values("front"), [0.1, 0.2])
         np.testing.assert_allclose(c.segment_values("rear"), [0.0, 0.0])
 
+    def test_evaluations_is_the_read_only_sample_count(self):
+        c = curve_from([0.0, 1.0, 2.5], [0.1, 0.2, 0.0])
+        assert c.evaluations == 3
+        with pytest.raises(AttributeError):
+            c.evaluations = 5
+        with pytest.raises(TypeError):
+            RateCurve(c.samples, 0.0, 2.5, evaluations=3)
+
 
 class TestIntegrateIntensity:
     def test_constant_rate(self):
