@@ -10,17 +10,11 @@ import dataclasses
 
 import numpy as np
 
-from crossrate import intensity_curve, preset_config, ttc_monte_carlo
+from crossrate import intensity_curve, preset_config, ttc_config, ttc_monte_carlo
 
 
 def main():
-    base = preset_config("front-right", n_traj=50_000, bin_width=0.2)
-    p0 = base.resolve_initial_cov()
-    quiet = dataclasses.replace(
-        base,
-        model=dataclasses.replace(base.model, qx=0.0, qy=0.0, input_enabled=False),
-        initial_cov=p0,
-    )
+    quiet = ttc_config(preset_config("front-right", n_traj=50_000, bin_width=0.2))
 
     ttc = ttc_monte_carlo(quiet)
     rate = ttc["front_rate"] + ttc["right_rate"]

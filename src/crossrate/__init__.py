@@ -71,6 +71,7 @@ from .montecarlo import (
     run_campaign,
     sample_initial,
     simulate_trajectory,
+    ttc_config,
     ttc_monte_carlo,
 )
 from .scenarios import ScenarioConfig, build_config, load_config, preset_config

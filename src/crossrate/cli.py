@@ -29,7 +29,7 @@ from .dynamics import SalientOffset, salient_transform_density
 from .errors import ConfigError, NumericsError
 from .geometry import SEGMENT_ORDER
 from .intensity import METHODS, total_intensity
-from .montecarlo import run_campaign, ttc_monte_carlo
+from .montecarlo import run_campaign, ttc_config, ttc_monte_carlo
 from .probability import (
     adaptive_sample,
     deterministic_ttc_seeds,
@@ -93,22 +93,6 @@ def _output(args, name: str) -> Path:
     """Path of one output file; creates the output directory on first use."""
     args.out_dir.mkdir(parents=True, exist_ok=True)
     return args.out_dir / name
-
-
-def _zero_noise(config: ScenarioConfig) -> ScenarioConfig:
-    """The config of the TTC study, which propagates each draw deterministically.
-
-    Keeps the filter-derived initial spread but zeroes the trajectory
-    noise and the input; a config that has neither is returned as is.
-    """
-    model = config.model
-    if not (model.input_enabled or model.qx > 0.0 or model.qy > 0.0):
-        return config
-    return dataclasses.replace(
-        config,
-        initial_cov=config.resolve_initial_cov(),
-        model=dataclasses.replace(model, qx=0.0, qy=0.0, input_enabled=False),
-    )
 
 
 def _grid(horizon: float, dt: float) -> list[float]:
@@ -193,14 +177,15 @@ def cmd_probability(args, config):
                 "--dt",
             )
     curve = _curve(config, args, horizon)
-    if args.adaptive:
-        lo = max(args.t1, curve.samples[0].t)
-        hi = min(args.t2, curve.samples[-1].t)
-        if lo > hi:
-            lo = hi = curve.samples[0].t
-        bound = integrate_intensity(curve, lo, hi)
-    else:
-        bound = integrate_intensity(curve, args.t1, args.t2)
+    # a dense grid covers [t1, t2]; adaptive samples may cover only part of it
+    first, last = curve.samples[0].t, curve.samples[-1].t
+    lo, hi = max(args.t1, first), min(args.t2, last)
+    if lo > hi:
+        raise NumericsError(
+            f"the curve samples span [{first:g}, {last:g}] s and do not reach "
+            f"the window [{args.t1:g}, {args.t2:g}] s"
+        )
+    bound = integrate_intensity(curve, lo, hi)
     bound_path = _output(args, "probability.json")
     _write_json(
         bound_path,
@@ -217,7 +202,7 @@ def cmd_probability(args, config):
 
 
 def cmd_ttc(args, config):
-    config = _zero_noise(config)
+    config = ttc_config(config)
     result = ttc_monte_carlo(config)
     edges = result["bin_edges"]
     rows = (
@@ -274,7 +259,7 @@ def cmd_compare(args, config):
     overlap = [
         spatial_overlap_probability(config.predicted_density(t), config.rect) for t in ts
     ]
-    ttc = ttc_monte_carlo(_zero_noise(config))
+    ttc = ttc_monte_carlo(ttc_config(config))
 
     rows = []
     for i, t in enumerate(hist.bin_mid):
@@ -339,7 +324,6 @@ def _add_curve_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--rate-floor", type=_positive, default=0.01, help="adaptive stop intensity, 1/s"
     )
-    p.add_argument("--horizon", type=_positive, help="override curve horizon, s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intensity", help="entry-intensity curve")
     _add_common(p)
     _add_curve_flags(p)
+    p.add_argument("--horizon", type=_positive, help="override curve horizon, s")
     p.set_defaults(fn=cmd_intensity)
 
     p = sub.add_parser("probability", help="integrated collision-probability bound")

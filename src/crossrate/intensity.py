@@ -80,6 +80,7 @@ class _BoundaryConditional:
     s11: float  # conditional variance of xdot
     s22: float  # conditional variance of y
     s12: float  # conditional cross covariance
+    det: float  # s11 * s22 - s12 * s12, > 0
     y_lo: float
     y_hi: float
 
@@ -89,23 +90,22 @@ def _boundary_conditional(
 ) -> _BoundaryConditional:
     """Rotate to the segment frame and condition on the boundary line.
 
-    ydot is marginalized first; the conditional is over (y, xdot) given
-    x = x0, from which the (xdot, y) ordering below is read off.
+    The conditional is over (y, xdot, ydot) given x = x0; its (y, xdot)
+    block is read off in the (xdot, y) ordering below.
     """
     gf = to_segment_frame(g4, seg)
     x0 = seg.frame_boundary_offset()
     y_lo, y_hi = seg.frame_interval()
-    # drop ydot, keep (x, y, xdot)
-    g3 = marginalize(gf, (0, 1, 2))
-    var_x = g3.cov[0, 0]
+    var_x = gf.cov[0, 0]
     if var_x <= 0.0:
         raise NumericsError("marginal variance of the boundary coordinate is not > 0")
-    pdf_x0 = normal_pdf(x0, g3.mean[0], math.sqrt(var_x))
-    cond = condition(g3, (0,), (x0,))  # remaining order (y, xdot)
+    pdf_x0 = normal_pdf(x0, gf.mean[0], math.sqrt(var_x))
+    cond = condition(gf, (0,), (x0,))  # remaining order (y, xdot, ydot)
     s11, s22, s12 = cond.cov[1, 1], cond.cov[0, 0], cond.cov[0, 1]
+    det = s11 * s22 - s12 * s12
     # every method divides by these; a degenerate density must fail loudly
     # rather than read as a zero intensity
-    if s11 <= 0.0 or s22 <= 0.0 or s11 * s22 - s12 * s12 <= 0.0:
+    if s11 <= 0.0 or s22 <= 0.0 or det <= 0.0:
         raise NumericsError("conditional covariance of (xdot, y) is singular")
     return _BoundaryConditional(
         pdf_x0=pdf_x0,
@@ -114,6 +114,7 @@ def _boundary_conditional(
         s11=s11,
         s22=s22,
         s12=s12,
+        det=det,
         y_lo=y_lo,
         y_hi=y_hi,
     )
@@ -136,15 +137,14 @@ def segment_intensity_quadrature(g4: GaussianDensity, seg: BoundarySegment) -> f
     bc = _boundary_conditional(g4, seg)
     sig1 = math.sqrt(bc.s11)
     sig2 = math.sqrt(bc.s22)
-    det = bc.s11 * bc.s22 - bc.s12 * bc.s12
     rho = bc.s12 / (sig1 * sig2)
-    rho_bar = math.sqrt(det) / (sig1 * sig2)  # not from rho: |rho| may round to 1
+    rho_bar = math.sqrt(bc.det) / (sig1 * sig2)  # not from rho: |rho| may round to 1
     h = -bc.mu1 / sig1
     k_lo = (bc.y_lo - bc.mu2) / sig2
     k_hi = (bc.y_hi - bc.mu2) / sig2
     # Y given V = 0, and V given Y = y
     y_at_v0 = bc.mu2 - bc.s12 / bc.s11 * bc.mu1
-    sd_y_at_v = math.sqrt(det / bc.s11)
+    sd_y_at_v = math.sqrt(bc.det / bc.s11)
     z_lo = (bc.y_lo - y_at_v0) / sd_y_at_v
     z_hi = (bc.y_hi - y_at_v0) / sd_y_at_v
     # a band in the upper tail of Y is mirrored into the lower tail, where
@@ -157,7 +157,7 @@ def segment_intensity_quadrature(g4: GaussianDensity, seg: BoundarySegment) -> f
         h, k_lo, rho, rho_bar
     )
     p_lat = normal_cdf(z_hi) - normal_cdf(z_lo)
-    sd_v_at_y = math.sqrt(det / bc.s22)
+    sd_v_at_y = math.sqrt(bc.det / bc.s22)
 
     def edge_flux(y: float) -> float:
         v_at_y = bc.mu1 + bc.s12 / bc.s22 * (y - bc.mu2)
@@ -183,9 +183,8 @@ def _zeroth_order(mu1, sig1, mu2, sig2, y_lo, y_hi) -> float:
 def segment_intensity_taylor0(g4: GaussianDensity, seg: BoundarySegment) -> float:
     """Zeroth-order closed form (inverse-covariance expansion)."""
     bc = _boundary_conditional(g4, seg)
-    det = bc.s11 * bc.s22 - bc.s12 * bc.s12
-    sig1 = math.sqrt(det / bc.s22)
-    sig2 = math.sqrt(det / bc.s11)
+    sig1 = math.sqrt(bc.det / bc.s22)
+    sig2 = math.sqrt(bc.det / bc.s11)
     integral = _zeroth_order(bc.mu1, sig1, bc.mu2, sig2, bc.y_lo, bc.y_hi)
     return _clamp(-bc.pdf_x0 * integral)
 
@@ -193,13 +192,12 @@ def segment_intensity_taylor0(g4: GaussianDensity, seg: BoundarySegment) -> floa
 def segment_intensity_taylor1_inv(g4: GaussianDensity, seg: BoundarySegment) -> float:
     """First-order expansion in the off-diagonal of the inverse covariance."""
     bc = _boundary_conditional(g4, seg)
-    det = bc.s11 * bc.s22 - bc.s12 * bc.s12
-    st11 = det / bc.s22
-    st22 = det / bc.s11
+    st11 = bc.det / bc.s22
+    st22 = bc.det / bc.s11
     sig1 = math.sqrt(st11)
     sig2 = math.sqrt(st22)
     integral = _zeroth_order(bc.mu1, sig1, bc.mu2, sig2, bc.y_lo, bc.y_hi)
-    inv12 = -bc.s12 / det
+    inv12 = -bc.s12 / bc.det
     # bracket of x1 (xdot) over (-inf, 0]: -sigma_tilde_11 * Phi(-mu1/sig1)
     bracket1 = -st11 * normal_cdf(-bc.mu1 / sig1)
     bracket2 = st22 * (

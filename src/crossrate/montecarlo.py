@@ -18,6 +18,7 @@ of batching, step chunking or thread count.
 """
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -28,7 +29,7 @@ from .dynamics import StateVector, input_increment, process_noise_cov, transitio
 from .errors import ConfigError
 from .gaussian import psd_factor
 from .geometry import SEGMENT_ORDER, CrossingEvent, chord_crossings, segments
-from .probability import quadratic_roots
+from .probability import _line_roots
 from .scenarios import ScenarioConfig
 
 _BATCH_SIZE = 4096  # fixed by the algorithm, not by the thread count
@@ -316,14 +317,33 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
     return CampaignResult(histogram=histogram, entry_stats=entry_stats, n_traj=config.n_traj)
 
 
-def ttc_monte_carlo(config: ScenarioConfig) -> dict:
-    """Initial-condition TTC histograms for the front and right lines.
+def ttc_config(config: ScenarioConfig) -> ScenarioConfig:
+    """The config of the TTC study, which propagates each draw deterministically.
 
-    Only the initial state is random; each draw is propagated with the
-    deterministic constant-acceleration model (no process noise, no
-    input).  Per draw, all real positive roots of the crossing quadratics
-    are screened by segment membership and the outside-entry condition,
-    and the earliest valid root per boundary is binned.
+    Resolves P0 first, so the filter-derived initial spread is kept, then
+    zeroes the trajectory noise and the input; a config that has neither
+    is returned as is.
+    """
+    model = config.model
+    if not (model.input_enabled or model.qx > 0.0 or model.qy > 0.0):
+        return config
+    return dataclasses.replace(
+        config,
+        initial_cov=config.resolve_initial_cov(),
+        model=dataclasses.replace(model, qx=0.0, qy=0.0, input_enabled=False),
+    )
+
+
+def ttc_monte_carlo(config: ScenarioConfig) -> dict:
+    """Initial-condition TTC histograms for the front and right sides.
+
+    Only the initial state is random: each draw follows its
+    constant-acceleration path, which meets a side's line at the roots of
+    one quadratic.  A root in (0, horizon] is an entry when the path is in
+    the side's closed span there and its velocity along the inward normal
+    is > 0, the rule chord_crossings applies to a chord; a tangent touch
+    (double root, zero normal velocity) is not one.  Each side bins the
+    earliest entry of each draw on its own, with no corner rule.
     """
     if config.model.input_enabled:
         raise ConfigError(
@@ -335,51 +355,19 @@ def ttc_monte_carlo(config: ScenarioConfig) -> dict:
         psd_factor(config.resolve_initial_cov()),
         (_traj_rng(config.seed, i) for i in range(n)),
     )
-
-    n_bins = config.n_bins
-    edges = np.arange(n_bins + 1) * config.bin_width
-    rect = config.rect
-    eps = 1e-6
-
-    def ca_pos(states, t):
-        x = states[:, 0] + states[:, 2] * t + 0.5 * states[:, 4] * t * t
-        y = states[:, 1] + states[:, 3] * t + 0.5 * states[:, 5] * t * t
-        return x, y
-
-    def boundary_hist(axis: int, level: float, t_lo: float, t_hi: float, outside_sign: float):
-        roots = quadratic_roots(
-            0.5 * states[:, 4 + axis], states[:, 2 + axis], states[:, axis] - level
-        )
-        best = np.full(n, np.inf)
-        for col in range(2):
-            t = roots[:, col]
-            valid = np.isfinite(t) & (t > 0.0) & (t <= config.horizon)
-            if not np.any(valid):
-                continue
-            tv = np.where(valid, t, 0.0)
-            x_t, y_t = ca_pos(states, tv)
-            tangent = y_t if axis == 0 else x_t
-            member = (tangent >= t_lo) & (tangent <= t_hi)
-            x_e, y_e = ca_pos(states, tv - eps)
-            coord_e = x_e if axis == 0 else y_e
-            outside = outside_sign * (coord_e - level) > 0.0
-            ok = valid & member & outside
-            best = np.where(ok & (t < best), t, best)
-        hit = np.isfinite(best)
-        counts, _ = np.histogram(best[hit], bins=edges)
-        return counts.astype(np.int64)
-
-    front_counts = boundary_hist(
-        0, rect.x_front, rect.y_left, rect.y_right, outside_sign=+1.0
-    )
-    right_counts = boundary_hist(
-        1, rect.y_right, rect.x_rear, rect.x_front, outside_sign=+1.0
-    )
-    return {
-        "bin_edges": edges,
-        "n_traj": n,
-        "front_counts": front_counts,
-        "right_counts": right_counts,
-        "front_rate": front_counts / (n * config.bin_width),
-        "right_rate": right_counts / (n * config.bin_width),
-    }
+    s = states[:, np.newaxis]  # (n, 1, 6): broadcasts against both roots
+    edges = np.arange(config.n_bins + 1) * config.bin_width
+    result = {"bin_edges": edges, "n_traj": n}
+    for seg in segments(config.rect)[:2]:  # front, right
+        t = _line_roots(states, seg)
+        t[~((t > 0.0) & (t <= config.horizon))] = np.nan  # roots in (0, horizon] only
+        tt = t[..., np.newaxis]
+        pos = s[..., :2] + s[..., 2:4] * tt + 0.5 * s[..., 4:] * tt * tt
+        along = pos[..., 1 if seg.axis == "x" else 0]
+        inward = (s[..., 2:4] + s[..., 4:] * tt) @ seg.normal
+        entry = (seg.t_lo <= along) & (along <= seg.t_hi) & (inward > 0.0)
+        first = np.where(entry, t, np.inf).min(axis=1)
+        counts, _ = np.histogram(first[np.isfinite(first)], bins=edges)
+        result[f"{seg.name}_counts"] = counts
+        result[f"{seg.name}_rate"] = counts / (n * config.bin_width)
+    return result

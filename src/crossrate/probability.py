@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import StateVector
 from .errors import NumericsError
 from .gaussian import GaussianDensity, bivariate_normal_cdf
-from .geometry import HostRectangle
+from .geometry import BoundarySegment, HostRectangle, segments
 from .intensity import RateSample, total_intensity
 
 if TYPE_CHECKING:
@@ -150,23 +150,28 @@ def quadratic_roots(a, b, c) -> np.ndarray:
     return out
 
 
+def _line_roots(states: np.ndarray, seg: BoundarySegment) -> np.ndarray:
+    """Times (n, 2), NaN if none, at which the paths of states (n, 6) meet seg's line."""
+    a = 0 if seg.axis == "x" else 1
+    return quadratic_roots(
+        0.5 * states[:, 4 + a], states[:, 2 + a], states[:, a] - seg.coord
+    )
+
+
 def deterministic_ttc_seeds(
     mean: StateVector, rect: HostRectangle
 ) -> list[tuple[str, float]]:
-    """Constant-acceleration crossing times of the front/right/left lines.
+    """Constant-acceleration times at which the mean reaches the side lines.
 
-    All real positive roots, no segment-membership filtering; the rear
-    line is excluded.  These seed the adaptive sampler only.
+    All real positive roots on the front, right and left lines (not the
+    rear), sorted by time.  They are line roots, not entries: neither the
+    span nor the entry rule of ttc_monte_carlo applies, so an exit or a
+    tangent touch seeds too.  These seed the adaptive sampler only.
     """
-    names = ("front", "right", "left")
-    roots = quadratic_roots(
-        [0.5 * mean.xddot, 0.5 * mean.yddot, 0.5 * mean.yddot],
-        [mean.xdot, mean.ydot, mean.ydot],
-        [mean.x - rect.x_front, mean.y - rect.y_right, mean.y - rect.y_left],
-    )
-    seeds = [(name, float(t)) for name, row in zip(names, roots) for t in row if t > 0.0]
-    seeds.sort(key=lambda st: st[1])
-    return seeds
+    state = mean.as_array()[np.newaxis]
+    sides = [seg for seg in segments(rect) if seg.name != "rear"]
+    seeds = [(seg.name, float(t)) for seg in sides for t in _line_roots(state, seg)[0] if t > 0]
+    return sorted(seeds, key=lambda st: st[1])
 
 
 def adaptive_sample(

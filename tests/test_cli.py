@@ -219,6 +219,15 @@ class TestProbability:
             ]
         assert results["adaptive"] == pytest.approx(results["dense"], rel=0.05)
 
+    def test_adaptive_window_beyond_samples_exit_3(self, tmp_path, capsys):
+        """The adaptive samples of `front` end near 6.1 s; [7, 8] was never sampled."""
+        out = tmp_path / "p"
+        argv = ["probability", "--preset", "front", "--adaptive", "--method", "taylor0"]
+        assert main([*argv, "--t1", "7", "--t2", "8", "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "window [7, 8] s" in err
+        assert not out.exists()
+
 
 class TestTtc:
     def test_deterministic_single_bin(self, tmp_path):
@@ -438,6 +447,7 @@ class TestInvalidInputExit2:
             ["probability", "--t1=-1", "--t2", "2", "--method", "taylor0", "--dt", "1"],
             ["probability", "--t1=-1", "--t2", "6", "--adaptive", "--method", "taylor0"],
             ["probability", "--t2", "inf", "--method", "taylor0"],
+            ["probability", "--t2", "6", "--horizon", "2", "--method", "taylor0"],
             ["simulate", "--threads", "0"],
             ["simulate", "--threads=-3"],
             ["compare", "--threads", "0"],

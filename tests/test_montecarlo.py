@@ -21,6 +21,7 @@ from crossrate import (
     run_campaign,
     sample_initial,
     simulate_trajectory,
+    ttc_config,
     ttc_monte_carlo,
 )
 from crossrate import montecarlo
@@ -409,3 +410,36 @@ class TestTtcMonteCarlo:
         result = ttc_monte_carlo(cfg)
         assert result["front_counts"].sum() == 0
         assert result["right_counts"].sum() == 0
+
+    def test_tangent_touch_is_not_an_entry(self):
+        """x = 4 - 2t + t^2/4 touches the front line at t = 4 with zero normal velocity."""
+        cfg = straight_config(initial_mean=StateVector(4.0, 0.0, -2.0, 0.0, 0.5, 0.0))
+        result = ttc_monte_carlo(cfg)
+        assert result["front_counts"].sum() == 0
+        assert result["right_counts"].sum() == 0
+
+    @pytest.mark.parametrize("x0, y0, xdot, ydot", [(-1.0, 0.0, 2.0, 0.0), (-1.0, 0.0, 0.0, 2.0)])
+    def test_exit_from_inside_is_not_an_entry(self, x0, y0, xdot, ydot):
+        result = ttc_monte_carlo(straight_config(x0=x0, y0=y0, xdot=xdot, ydot=ydot))
+        assert result["front_counts"].sum() == 0
+        assert result["right_counts"].sum() == 0
+
+    def test_hit_at_span_end_counts(self):
+        """A front hit at y = y_right lies in the closed span and counts once."""
+        cfg = straight_config(y0=1.0)
+        result = ttc_monte_carlo(cfg)
+        counts = result["front_counts"]
+        assert counts.sum() == 1
+        edges = result["bin_edges"]
+        hit = np.nonzero(counts)[0][0]
+        assert edges[hit] <= 5.0 <= edges[hit + 1]
+        assert result["right_counts"].sum() == 0
+
+    @pytest.mark.parametrize("preset", ["front", "front-right"])
+    def test_matches_campaign_first_entries(self, preset):
+        """Without noise, the root rule and the chord detector bin the same entries."""
+        cfg = ttc_config(preset_config(preset, n_traj=4096))
+        ttc = ttc_monte_carlo(cfg)
+        first = run_campaign(cfg).histogram.first_entry_counts
+        for side in ("front", "right"):
+            np.testing.assert_array_equal(ttc[f"{side}_counts"], first[side])
