@@ -125,25 +125,13 @@ _CURVE_HEADER = ["t_s", "mu_total", "mu_front", "mu_right", "mu_left", "mu_rear"
 def cmd_simulate(args, config):
     result = run_campaign(config, threads=args.threads)
     hist = result.histogram
-    cumulative = hist.integrated_probability()
-    rows = []
-    for i in range(len(hist.bin_edges) - 1):
-        row = [hist.bin_edges[i], hist.bin_mid[i]]
-        row.append(hist.first_entry_rate("total")[i])
-        row.extend(hist.first_entry_rate(n)[i] for n in SEGMENT_ORDER)
-        row.append(hist.all_entry_rate("total")[i])
-        row.extend(hist.all_entry_rate(n)[i] for n in SEGMENT_ORDER)
-        row.append(cumulative[i])
-        rows.append(row)
-    header = (
-        ["bin_start_s", "bin_mid_s", "first_entry_rate_total"]
-        + [f"first_entry_rate_{n}" for n in SEGMENT_ORDER]
-        + ["all_entry_rate_total"]
-        + [f"all_entry_rate_{n}" for n in SEGMENT_ORDER]
-        + ["integrated_probability"]
-    )
+    keys = ["total", *SEGMENT_ORDER]
+    columns = {"bin_start_s": hist.bin_edges[:-1], "bin_mid_s": hist.bin_mid}
+    columns.update((f"first_entry_rate_{k}", hist.first_entry_rate(k)) for k in keys)
+    columns.update((f"all_entry_rate_{k}", hist.all_entry_rate(k)) for k in keys)
+    columns["integrated_probability"] = hist.integrated_probability()
     hist_path = _output(args, "histogram.csv")
-    _write_csv(hist_path, header, rows)
+    _write_csv(hist_path, list(columns), zip(*columns.values()))
     stats_path = _output(args, "statistics.json")
     _write_json(stats_path, result.entry_stats)
     return (
@@ -205,9 +193,8 @@ def cmd_ttc(args, config):
     config = ttc_config(config)
     result = ttc_monte_carlo(config)
     edges = result["bin_edges"]
-    rows = (
-        [edges[i], 0.5 * (edges[i] + edges[i + 1]), result["front_rate"][i], result["right_rate"][i]]
-        for i in range(len(edges) - 1)
+    rows = zip(
+        edges[:-1], 0.5 * (edges[:-1] + edges[1:]), result["front_rate"], result["right_rate"]
     )
     hist_path = _output(args, "ttc_histogram.csv")
     _write_csv(hist_path, ["bin_start_s", "bin_mid_s", "front_rate", "right_rate"], rows)
@@ -261,18 +248,14 @@ def cmd_compare(args, config):
     ]
     ttc = ttc_monte_carlo(ttc_config(config))
 
-    rows = []
-    for i, t in enumerate(hist.bin_mid):
-        rows.append(
-            [
-                t,
-                hist.first_entry_rate("total")[i],
-                *(curves[m][i] for m in METHODS),
-                overlap[i],
-                ttc["front_rate"][i],
-                ttc["right_rate"][i],
-            ]
-        )
+    rows = zip(
+        hist.bin_mid,
+        hist.first_entry_rate("total"),
+        *(curves[m] for m in METHODS),
+        overlap,
+        ttc["front_rate"],
+        ttc["right_rate"],
+    )
     path = _output(args, "compare.csv")
     _write_csv(
         path,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericsError
-from .gaussian import GaussianDensity, symmetrize
+from .gaussian import _PSD_RTOL, GaussianDensity, symmetrize
 
 STATE_DIM = 6
 
@@ -220,7 +220,7 @@ def predict_density(
     mean = phi @ g.mean + input_increment(dt, model, t0)
     cov = symmetrize(phi @ g.cov @ phi.T + process_noise_cov(dt, model))
     eigmin = np.linalg.eigvalsh(cov)[0]
-    if eigmin < -1e-10 * max(np.trace(cov), 1.0):
+    if eigmin < -_PSD_RTOL * max(np.trace(cov), 1.0):
         raise NumericsError(f"propagated covariance lost PSD (min eig {eigmin:g})")
     return GaussianDensity(mean, cov)
 

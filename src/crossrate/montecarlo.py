@@ -2,15 +2,15 @@
 
 Trajectories are sampled from the initial-state Gaussian and propagated
 with the exact discrete-time dynamics plus exact process-noise
-increments.  Campaigns stream each batch through the horizon a chunk of
-steps at a time: noise for the chunk is drawn into reused buffers, all
-of the chunk's position chords go through geometry.chord_crossings (the
-one crossing detector, with its half-open and corner rules) in one call,
-and the batch's entries are reduced to integer counts (first-entry and
-all-entry histograms, entry multiplicities) before the next batch runs.
-Memory is therefore bounded per worker thread, whatever the trajectory
-count or horizon.  simulate_trajectory runs the same kernel for one
-trajectory and keeps its crossings as events.
+increments.  Both studies, run_campaign and ttc_monte_carlo, stream the
+same id batches, reduce each to integer counts and bin a time t at
+floor(t / bin_width); at most two batches per worker thread are in
+flight, so memory is bounded whatever the trajectory count.  A campaign
+batch goes through the horizon a chunk of steps at a time, noise drawn
+into reused buffers and the chunk's chords sent through
+geometry.chord_crossings (the one crossing detector) in one call, so
+memory does not grow with the horizon either.  simulate_trajectory runs
+the same kernel for one trajectory and keeps its crossings as events.
 
 Per-trajectory noise comes from counter-based Philox streams keyed by
 (campaign seed, trajectory id), so results are bit-identical regardless
@@ -19,16 +19,17 @@ of batching, step chunking or thread count.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .dynamics import StateVector, input_increment, process_noise_cov, transition_matrix
 from .errors import ConfigError
 from .gaussian import psd_factor
-from .geometry import SEGMENT_ORDER, CrossingEvent, chord_crossings, segments
+from .geometry import SEGMENT_ORDER, ChordCrossings, CrossingEvent, chord_crossings, segments
 from .probability import _line_roots
 from .scenarios import ScenarioConfig
 
@@ -102,19 +103,32 @@ def _traj_rng(seed: int, traj_id: int) -> np.random.Generator:
     )
 
 
-def _initial_states(
-    config: ScenarioConfig, cov_factor: np.ndarray, rngs: Iterable[np.random.Generator]
-) -> np.ndarray:
-    """Initial states (n, 6): row j is mean + cov_factor @ z, z drawn from rngs[j]."""
+def _batches(n_traj: int):
+    """The trajectory ids 0 .. n_traj - 1 as ranges of _BATCH_SIZE, made lazily."""
+    return (range(lo, min(lo + _BATCH_SIZE, n_traj)) for lo in range(0, n_traj, _BATCH_SIZE))
+
+
+def _bins(times: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Bin index floor(t / bin_width) of each time, capped at the last bin."""
+    return np.minimum((times / config.bin_width).astype(np.int64), config.n_bins - 1)
+
+
+def _bin_edges(config: ScenarioConfig) -> np.ndarray:
+    """The edges k * bin_width, k = 0 .. n_bins, of the bins _bins counts into."""
+    return np.arange(config.n_bins + 1) * config.bin_width
+
+
+def _initial_states(config: ScenarioConfig, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Initial states (n, 6): row j is mean + F @ z, F F^T = P0, z drawn from rngs[j]."""
     mean = config.initial_mean.as_array()
-    rows = (mean + cov_factor @ rng.standard_normal(6) for rng in rngs)
+    factor = psd_factor(config.resolve_initial_cov())
+    rows = (mean + factor @ rng.standard_normal(6) for rng in rngs)
     return np.fromiter(rows, dtype=(float, 6))
 
 
 def sample_initial(config: ScenarioConfig, rng: np.random.Generator) -> StateVector:
     """Draw one initial state from N(mean, P0) on the given stream."""
-    cov_factor = psd_factor(config.resolve_initial_cov())
-    return StateVector.from_array(_initial_states(config, cov_factor, [rng])[0])
+    return StateVector.from_array(_initial_states(config, [rng])[0])
 
 
 def _step_kernel(config: ScenarioConfig):
@@ -130,39 +144,20 @@ def _step_kernel(config: ScenarioConfig):
     return phi_t, chol_q_t, u
 
 
-class _Crossings(NamedTuple):
-    """Boundary crossings of a batch, one array element per crossing."""
-
-    row: np.ndarray  # trajectory row within the batch
-    time: np.ndarray  # step * dt + fraction * dt
-    fraction: np.ndarray  # position of the crossing along the chord, in [0, 1)
-    segment: np.ndarray  # index into SEGMENT_ORDER
-    entry: np.ndarray  # True for an inward crossing, False for an outward one
-    tangent: np.ndarray  # crossing coordinate along the segment
-
-    def select(self, index) -> _Crossings:
-        return _Crossings(*(a[index] for a in self))
-
-    def ordered(self, keep: np.ndarray) -> _Crossings:
-        """The kept crossings sorted by (row, time, fraction, segment)."""
-        kept = self.select(keep)
-        return kept.select(np.lexsort((kept.segment, kept.fraction, kept.time, kept.row)))
-
-
 def _stream_crossings(
     config: ScenarioConfig, x: np.ndarray, rngs: list[np.random.Generator], kernel
-) -> _Crossings:
+) -> ChordCrossings:
     """Propagate a batch to the horizon and return all its crossings.
 
     `x` (b, 6) holds the initial states and `rngs` one generator per row,
-    already past its initial-state draw.  Noise is drawn and transformed
+    already past its initial-state draw.  The chord from step k to k + 1
+    of row j has index k * b + j.  Noise is drawn and transformed
     _STEP_CHUNK steps at a time into reused buffers, so memory does not
     grow with the horizon; each generator yields the same stream it would
     in one draw of the whole horizon.
     """
     phi_t, chol_q_t, u = kernel
     n_steps = config.n_steps
-    dt = config.sim_step
     chunk = min(_STEP_CHUNK, n_steps)
     b = len(x)
     z = np.empty((b, chunk, 6))
@@ -180,18 +175,28 @@ def _stream_crossings(
             x += u[k0 + i]
             x += w[:, i]
             pos[i + 1] = x[:, :2]
-        # chord index step * b + row: the (m, b, 2) chunk flattened row-major
+        # the (m, b, 2) chunk flattened row-major: chord (k - k0) * b + j
         c = chord_crossings(pos[:m].reshape(-1, 2), pos[1 : m + 1].reshape(-1, 2), config.rect)
-        step, row = np.divmod(c.chord, b)
-        t = (step + k0) * dt + c.fraction * dt
-        found.append((row, t, c.fraction, c.segment, c.entry, c.tangent))
+        found.append(c._replace(chord=c.chord + k0 * b))
         pos[0] = pos[m]
-    return _Crossings(*(np.concatenate(arrays) for arrays in zip(*found)))
+    return ChordCrossings(*(np.concatenate(arrays) for arrays in zip(*found)))
 
 
-def _simulate_batch(
-    config: ScenarioConfig, traj_ids: np.ndarray, cov_factor: np.ndarray, kernel
-):
+def _by_row(c: ChordCrossings, b: int, config: ScenarioConfig):
+    """A batch's crossings up to the horizon, ordered by row, with rows and times.
+
+    `b` is the batch's row count.  A crossing at `fraction` of the chord
+    from step k happens at k * dt + fraction * dt.  Chord order is time
+    order, so a stable sort by row keeps each row's crossings in time order.
+    """
+    step, row = np.divmod(c.chord, b)
+    t = step * config.sim_step + c.fraction * config.sim_step
+    keep = np.argsort(row, kind="stable")
+    keep = keep[t[keep] <= config.horizon]
+    return c.select(keep), row[keep], t[keep]
+
+
+def _simulate_batch(config: ScenarioConfig, traj_ids: range, kernel):
     """Simulate a batch of trajectories and reduce its entries to counts.
 
     Returns (first, all, boundary, multiplicity): first- and all-entry
@@ -202,22 +207,22 @@ def _simulate_batch(
     n_bins = config.n_bins
     n_seg = len(SEGMENT_ORDER)
     b = len(traj_ids)
-    rngs = [_traj_rng(config.seed, int(tid)) for tid in traj_ids]
-    x = _initial_states(config, cov_factor, rngs)
-    crossings = _stream_crossings(config, x, rngs, kernel)
-    ev = crossings.ordered(crossings.entry & (crossings.time <= config.horizon))
+    rngs = [_traj_rng(config.seed, tid) for tid in traj_ids]
+    x = _initial_states(config, rngs)
+    c, row, t = _by_row(_stream_crossings(config, x, rngs, kernel), b, config)
+    row, seg, t = row[c.entry], c.segment[c.entry], t[c.entry]
 
-    first = np.ones(len(ev.row), dtype=bool)
-    first[1:] = ev.row[1:] != ev.row[:-1]
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = row[1:] != row[:-1]
     if config.terminate_on_entry:
-        ev = ev.select(first)
+        row, seg, t = row[first], seg[first], t[first]
         first = first[first]
-    bins = np.minimum((ev.time / config.bin_width).astype(np.int64), n_bins - 1)
+    bins = _bins(t, config)
     # first entry of each trajectory through each segment
-    _, seg_first = np.unique(ev.row * n_seg + ev.segment, return_index=True)
+    _, seg_first = np.unique(row * n_seg + seg, return_index=True)
 
     def per_segment(idx):
-        flat = ev.segment[idx] * n_bins + bins[idx]
+        flat = seg[idx] * n_bins + bins[idx]
         return np.bincount(flat, minlength=n_seg * n_bins).reshape(n_seg, n_bins)
 
     first_counts = np.vstack(
@@ -226,8 +231,8 @@ def _simulate_batch(
     all_counts = np.vstack(
         [np.bincount(bins, minlength=n_bins), per_segment(slice(None))]
     )
-    boundary = np.bincount(ev.segment[first], minlength=n_seg)
-    multiplicity = np.bincount(np.bincount(ev.row, minlength=b))
+    boundary = np.bincount(seg[first], minlength=n_seg)
+    multiplicity = np.bincount(np.bincount(row, minlength=b))
     return first_counts, all_counts, boundary, multiplicity
 
 
@@ -242,16 +247,29 @@ def simulate_trajectory(
     crossings = _stream_crossings(
         config, x0.as_array()[np.newaxis, :], [rng], _step_kernel(config)
     )
-    ev = crossings.ordered(crossings.time <= config.horizon)
+    c, _, times = _by_row(crossings, 1, config)
     sides = segments(config.rect)
     events = []
-    for t, si, is_entry, tangent in zip(ev.time, ev.segment, ev.entry, ev.tangent):
+    for t, si, is_entry, tangent in zip(times, c.segment, c.entry, c.tangent):
         seg = sides[si]
         kind = "entry" if is_entry else "exit"
         events.append(CrossingEvent(float(t), seg.name, seg.point_at(float(tangent)), kind))
         if is_entry and config.terminate_on_entry:
             break
     return CollisionRecord(0, tuple(events))
+
+
+def _batch_counts(config: ScenarioConfig, kernel, pool: ThreadPoolExecutor, threads: int):
+    """_simulate_batch of each batch, in batch order, two batches per thread in flight.
+
+    Executor.map would submit every batch at once and hold a future per batch.
+    """
+    pending = deque()
+    for ids in _batches(config.n_traj):
+        pending.append(pool.submit(_simulate_batch, config, ids, kernel))
+        if len(pending) == 2 * threads:
+            yield pending.popleft().result()
+    yield from (future.result() for future in pending)
 
 
 def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
@@ -261,37 +279,23 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
     are observable; first-entry statistics are extracted afterwards.
     With terminate_on_entry only each trajectory's first entry counts.
     """
-    cov_factor = psd_factor(config.resolve_initial_cov())
     kernel = _step_kernel(config)
     n_bins = config.n_bins
     n_seg = len(SEGMENT_ORDER)
-    edges = np.arange(n_bins + 1) * config.bin_width
 
     first_counts = np.zeros((n_seg + 1, n_bins), dtype=np.int64)
     all_counts = np.zeros((n_seg + 1, n_bins), dtype=np.int64)
     boundary = np.zeros(n_seg, dtype=np.int64)
     multiplicity: dict[int, int] = {}
 
-    def process(counts):
-        first, all_, bnd, mult = counts
-        first_counts[:] += first
-        all_counts[:] += all_
-        boundary[:] += bnd
-        for k in np.nonzero(mult[1:])[0] + 1:
-            multiplicity[int(k)] = multiplicity.get(int(k), 0) + int(mult[k])
-
-    batches = [
-        np.arange(lo, min(lo + _BATCH_SIZE, config.n_traj))
-        for lo in range(0, config.n_traj, _BATCH_SIZE)
-    ]
-
-    def run_batch(ids):
-        return _simulate_batch(config, ids, cov_factor, kernel)
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # merge strictly in batch order: results independent of schedule
-        for counts in pool.map(run_batch, batches):
-            process(counts)
+        for first, all_, bnd, mult in _batch_counts(config, kernel, pool, threads):
+            first_counts += first
+            all_counts += all_
+            boundary += bnd
+            for k in np.nonzero(mult[1:])[0] + 1:
+                multiplicity[int(k)] = multiplicity.get(int(k), 0) + int(mult[k])
 
     first_boundary_totals = {k: int(v) for k, v in zip(SEGMENT_ORDER, boundary)}
     n_collided = sum(multiplicity.values())
@@ -309,7 +313,7 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
     }
     keys = ["total", *SEGMENT_ORDER]
     histogram = RateHistogram(
-        bin_edges=edges,
+        bin_edges=_bin_edges(config),
         n_traj=config.n_traj,
         first_entry_counts=dict(zip(keys, first_counts)),
         all_entry_counts=dict(zip(keys, all_counts)),
@@ -343,31 +347,33 @@ def ttc_monte_carlo(config: ScenarioConfig) -> dict:
     the side's closed span there and its velocity along the inward normal
     is > 0, the rule chord_crossings applies to a chord; a tangent touch
     (double root, zero normal velocity) is not one.  Each side bins the
-    earliest entry of each draw on its own, with no corner rule.
+    earliest entry of each draw on its own, with no corner rule.  Draws
+    are made and reduced to counts in the campaign's batches.
     """
     if config.model.input_enabled:
         raise ConfigError(
             "TTC Monte-Carlo requires the deterministic input disabled", "model.input_enabled"
         )
     n = config.n_traj
-    states = _initial_states(
-        config,
-        psd_factor(config.resolve_initial_cov()),
-        (_traj_rng(config.seed, i) for i in range(n)),
-    )
-    s = states[:, np.newaxis]  # (n, 1, 6): broadcasts against both roots
-    edges = np.arange(config.n_bins + 1) * config.bin_width
-    result = {"bin_edges": edges, "n_traj": n}
-    for seg in segments(config.rect)[:2]:  # front, right
-        t = _line_roots(states, seg)
-        t[~((t > 0.0) & (t <= config.horizon))] = np.nan  # roots in (0, horizon] only
-        tt = t[..., np.newaxis]
-        pos = s[..., :2] + s[..., 2:4] * tt + 0.5 * s[..., 4:] * tt * tt
-        along = pos[..., 1 if seg.axis == "x" else 0]
-        inward = (s[..., 2:4] + s[..., 4:] * tt) @ seg.normal
-        entry = (seg.t_lo <= along) & (along <= seg.t_hi) & (inward > 0.0)
-        first = np.where(entry, t, np.inf).min(axis=1)
-        counts, _ = np.histogram(first[np.isfinite(first)], bins=edges)
-        result[f"{seg.name}_counts"] = counts
-        result[f"{seg.name}_rate"] = counts / (n * config.bin_width)
+    sides = segments(config.rect)[:2]  # front, right
+    counts = np.zeros((len(sides), config.n_bins), dtype=np.int64)
+    for ids in _batches(n):
+        states = _initial_states(config, (_traj_rng(config.seed, i) for i in ids))
+        s = states[:, np.newaxis]  # (b, 1, 6): broadcasts against both roots
+        for seg, seg_counts in zip(sides, counts):
+            t = _line_roots(states, seg)
+            t[~((t > 0.0) & (t <= config.horizon))] = np.nan  # roots in (0, horizon] only
+            tt = t[..., np.newaxis]
+            pos = s[..., :2] + s[..., 2:4] * tt + 0.5 * s[..., 4:] * tt * tt
+            along = pos[..., 1 if seg.axis == "x" else 0]
+            inward = (s[..., 2:4] + s[..., 4:] * tt) @ seg.normal
+            entry = (seg.t_lo <= along) & (along <= seg.t_hi) & (inward > 0.0)
+            first = np.where(entry, t, np.inf).min(axis=1)
+            seg_counts += np.bincount(
+                _bins(first[np.isfinite(first)], config), minlength=config.n_bins
+            )
+    result = {"bin_edges": _bin_edges(config), "n_traj": n}
+    for seg, seg_counts in zip(sides, counts):
+        result[f"{seg.name}_counts"] = seg_counts
+        result[f"{seg.name}_rate"] = seg_counts / (n * config.bin_width)
     return result

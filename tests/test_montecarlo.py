@@ -346,6 +346,25 @@ def test_campaign_memory_does_not_grow_with_horizon():
     assert long <= 1.1 * short
 
 
+def test_campaign_memory_does_not_grow_with_batch_count():
+    """Only a few batches are in flight, not one future per batch of the campaign."""
+
+    def peak_bytes(n_batches):
+        cfg = preset_config("front", n_traj=n_batches, horizon=0.1)
+        cfg = dataclasses.replace(cfg, initial_cov=cfg.resolve_initial_cov())
+        with mock.patch.object(montecarlo, "_BATCH_SIZE", 1):
+            tracemalloc.start()
+            try:
+                run_campaign(cfg, threads=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak_bytes(200)  # the first campaign in a process allocates one-time caches
+    short, long = peak_bytes(200), peak_bytes(600)
+    assert long <= 1.5 * short
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     batch_size=st.integers(1, 5),
@@ -365,10 +384,15 @@ def test_results_independent_of_batching(batch_size, step_chunk, n_traj, threads
         **WEAVING,
     )
     reference = run_campaign(cfg)
+    ttc_reference = ttc_monte_carlo(ttc_config(cfg))
     with mock.patch.object(montecarlo, "_BATCH_SIZE", batch_size), mock.patch.object(
         montecarlo, "_STEP_CHUNK", step_chunk
     ):
         assert_same_campaign(run_campaign(cfg, threads=threads), reference)
+        ttc = ttc_monte_carlo(ttc_config(cfg))
+    assert ttc.keys() == ttc_reference.keys()
+    for key in ttc:
+        np.testing.assert_array_equal(ttc[key], ttc_reference[key])
 
 
 class TestTtcMonteCarlo:
@@ -423,6 +447,26 @@ class TestTtcMonteCarlo:
         result = ttc_monte_carlo(straight_config(x0=x0, y0=y0, xdot=xdot, ydot=ydot))
         assert result["front_counts"].sum() == 0
         assert result["right_counts"].sum() == 0
+
+    def test_bins_by_the_campaign_rule(self):
+        """The root 1.7 / 2 = 0.85 s goes to bin floor(0.85 / 0.05) = 17, though
+        the computed edge 17 * 0.05 = 0.8500000000000001 lies above it."""
+        result = ttc_monte_carlo(straight_config(x0=1.7))
+        assert np.nonzero(result["front_counts"])[0].tolist() == [17]
+
+    def test_memory_does_not_grow_with_draws(self):
+        """Draws are made and counted a batch at a time, never all at once."""
+
+        def peak_bytes(n_traj):
+            cfg = ttc_config(preset_config("front", n_traj=n_traj))
+            tracemalloc.start()
+            try:
+                ttc_monte_carlo(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(3 * 4096) <= 1.1 * peak_bytes(4096)
 
     def test_hit_at_span_end_counts(self):
         """A front hit at y = y_right lies in the closed span and counts once."""
