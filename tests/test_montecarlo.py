@@ -328,18 +328,23 @@ class TestCountPathMatchesEventPath:
         assert max(run_campaign(cfg).entry_stats["multiplicity_counts"]) >= 2
 
 
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced by tracemalloc during fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_campaign_memory_does_not_grow_with_horizon():
     """One full batch: noise is held a step chunk at a time, not per horizon."""
 
     def peak_bytes(horizon):
         cfg = preset_config("front", n_traj=4096, horizon=horizon)
         cfg = dataclasses.replace(cfg, initial_cov=cfg.resolve_initial_cov())
-        tracemalloc.start()
-        try:
-            run_campaign(cfg, threads=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(run_campaign, cfg, threads=1)
 
     short, long = peak_bytes(4.0), peak_bytes(8.0)
     assert long < 64 * 2**20
@@ -353,12 +358,7 @@ def test_campaign_memory_does_not_grow_with_batch_count():
         cfg = preset_config("front", n_traj=n_batches, horizon=0.1)
         cfg = dataclasses.replace(cfg, initial_cov=cfg.resolve_initial_cov())
         with mock.patch.object(montecarlo, "_BATCH_SIZE", 1):
-            tracemalloc.start()
-            try:
-                run_campaign(cfg, threads=2)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(run_campaign, cfg, threads=2)
 
     peak_bytes(200)  # the first campaign in a process allocates one-time caches
     short, long = peak_bytes(200), peak_bytes(600)
@@ -458,13 +458,7 @@ class TestTtcMonteCarlo:
         """Draws are made and counted a batch at a time, never all at once."""
 
         def peak_bytes(n_traj):
-            cfg = ttc_config(preset_config("front", n_traj=n_traj))
-            tracemalloc.start()
-            try:
-                ttc_monte_carlo(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(ttc_monte_carlo, ttc_config(preset_config("front", n_traj=n_traj)))
 
         assert peak_bytes(3 * 4096) <= 1.1 * peak_bytes(4096)
 
