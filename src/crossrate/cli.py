@@ -5,7 +5,8 @@ output paths and any extra manifest fields; `main` alone then writes
 `manifest.json` next to the data files, recording the fully resolved
 configuration, seed, tool version, output paths, and wall-clock duration,
 so any output can be reproduced from its manifest alone.  Intensity
-curves come from `probability.intensity_curve`/`intensity_evaluator`.
+curves come from `probability.intensity_curve`, `intensity_evaluator` and
+`compare_curves`.
 All CSV numbers use locale-independent formatting with 9 significant
 digits.
 
@@ -32,11 +33,11 @@ from .intensity import METHODS, total_intensity
 from .montecarlo import run_campaign, ttc_config, ttc_monte_carlo
 from .probability import (
     adaptive_sample,
+    compare_curves,
     deterministic_ttc_seeds,
     integrate_intensity,
     intensity_curve,
     intensity_evaluator,
-    spatial_overlap_probability,
     RateCurve,
 )
 from .scenarios import PRESETS, ScenarioConfig, config_as_dict, load_config, preset_config
@@ -242,16 +243,13 @@ def cmd_compare(args, config):
     result = run_campaign(config, threads=args.threads)
     hist = result.histogram
     ts = [round(float(t), 12) for t in hist.bin_mid]
-    curves = {m: intensity_curve(config, ts, m).values() for m in METHODS}
-    overlap = [
-        spatial_overlap_probability(config.predicted_density(t), config.rect) for t in ts
-    ]
+    curves, overlap = compare_curves(config, ts)
     ttc = ttc_monte_carlo(ttc_config(config))
 
     rows = zip(
         hist.bin_mid,
         hist.first_entry_rate("total"),
-        *(curves[m] for m in METHODS),
+        *(curves[m].values() for m in METHODS),
         overlap,
         ttc["front_rate"],
         ttc["right_rate"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericsError
-from .gaussian import _PSD_RTOL, GaussianDensity, symmetrize
+from .gaussian import GaussianDensity, _NotPSDError, symmetrize
 
 STATE_DIM = 6
 
@@ -219,10 +219,10 @@ def predict_density(
     phi = transition_matrix(dt)
     mean = phi @ g.mean + input_increment(dt, model, t0)
     cov = symmetrize(phi @ g.cov @ phi.T + process_noise_cov(dt, model))
-    eigmin = np.linalg.eigvalsh(cov)[0]
-    if eigmin < -_PSD_RTOL * max(np.trace(cov), 1.0):
-        raise NumericsError(f"propagated covariance lost PSD (min eig {eigmin:g})")
-    return GaussianDensity(mean, cov)
+    try:
+        return GaussianDensity(mean, cov)
+    except _NotPSDError as exc:
+        raise NumericsError(f"propagated covariance lost PSD (min eig {exc.min_eig:g})") from None
 
 
 def measurement_function(s: StateVector) -> tuple[float, float, float]:

@@ -2,7 +2,11 @@
 
 Marginalization, conditioning, 1D normal pdf/cdf and the bivariate normal
 CDF shared by the analytic intensity and prediction code.  All operations
-are pure and value-semantic; densities are immutable after construction.
+are pure and value-semantic.  A density is validated once, when built: a
+finite mean, a finite, symmetric and PSD covariance, one symmetrize and
+one eigenvalue-only LAPACK call; it is immutable after.  Conditioning
+takes the given block's condition number from its eigenvalues and solves
+with one Cholesky factorization.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 from scipy.special import erfc, owens_t
 
 from .errors import DomainError, NumericsError
@@ -32,6 +36,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix (LAPACK dsyevd, no vectors)."""
+    w, _, info = lapack.dsyevd(m, compute_v=0)
+    if info != 0:
+        raise NumericsError(f"eigenvalue solver failed (dsyevd info {info})")
+    return w
+
+
+class _NotPSDError(ValueError):
+    """A covariance below the PSD tolerance, with its smallest eigenvalue."""
+
+    def __init__(self, min_eig: float):
+        self.min_eig = min_eig
+        super().__init__(f"covariance is not positive semi-definite (min eig {min_eig:g})")
+
+
 @dataclass(frozen=True)
 class GaussianDensity:
     """Mean vector and covariance matrix of an N-dimensional Gaussian."""
@@ -40,23 +60,21 @@ class GaussianDensity:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.array(self.mean, dtype=float).reshape(-1)
         cov = np.asarray(self.cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError(f"covariance must be square, got shape {cov.shape}")
         if mean.size != cov.shape[0]:
-            raise ValueError(
-                f"mean length {mean.size} != covariance size {cov.shape[0]}"
-            )
-        scale = max(np.max(np.abs(cov)), 1.0)
-        if np.max(np.abs(cov - cov.T)) > _SYM_RTOL * scale:
+            raise ValueError(f"mean length {mean.size} != covariance size {cov.shape[0]}")
+        scale = np.abs(cov).max()  # NaN or inf when an entry is
+        if not (math.isfinite(scale) and all(map(math.isfinite, mean.tolist()))):
+            raise ValueError("mean and covariance must be finite")
+        if (cov - cov.T).max() > _SYM_RTOL * max(scale, 1.0):  # antisymmetric: max = max |.|
             raise ValueError("covariance is not symmetric")
         cov = symmetrize(cov)
-        eigvals = np.linalg.eigvalsh(cov)
-        if eigvals[0] < -_PSD_RTOL * max(np.trace(cov), 1.0):
-            raise ValueError(
-                f"covariance is not positive semi-definite (min eig {eigvals[0]:g})"
-            )
+        min_eig = _eigvalsh(cov)[0]
+        if min_eig < -_PSD_RTOL * max(sum(cov.diagonal().tolist()), 1.0):
+            raise _NotPSDError(min_eig)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -75,15 +93,15 @@ def marginalize(g: GaussianDensity, keep) -> GaussianDensity:
     for i in keep:
         if not 0 <= i < g.dim:
             raise ValueError(f"index {i} out of range for dim {g.dim}")
-    idx = np.asarray(keep, dtype=int)
-    return GaussianDensity(g.mean[idx], g.cov[np.ix_(idx, idx)])
+    return GaussianDensity(g.mean.take(keep), g.cov.take(keep, 0).take(keep, 1))
 
 
 def condition(g: GaussianDensity, given, values) -> GaussianDensity:
     """Density of the remaining coordinates given exact values for `given`.
 
     Remaining coordinates keep their original relative order.  The
-    conditional covariance does not depend on `values`.
+    conditional covariance does not depend on `values`.  One Cholesky
+    solve S_mm X = [values - mean_m, S_mr] gives both moments.
     """
     given = list(given)
     values = np.asarray(values, dtype=float).reshape(-1)
@@ -97,23 +115,24 @@ def condition(g: GaussianDensity, given, values) -> GaussianDensity:
     rest = [i for i in range(g.dim) if i not in given]
     if not rest:
         raise ValueError("cannot condition on every coordinate")
-    r = np.asarray(rest, dtype=int)
-    m = np.asarray(given, dtype=int)
-    sig_rr = g.cov[np.ix_(r, r)]
-    sig_rm = g.cov[np.ix_(r, m)]
-    sig_mm = g.cov[np.ix_(m, m)]
-    if np.linalg.cond(sig_mm) > _COND_LIMIT:
+    k = len(rest)
+    idx = rest + given
+    blocks = g.cov.take(idx, 0).take(idx, 1)
+    sig_mm = blocks[k:, k:]
+    moduli = [abs(w) for w in _eigvalsh(sig_mm).tolist()]  # its singular values
+    cond = max(moduli) / min(moduli) if min(moduli) > 0.0 else math.inf
+    if cond > _COND_LIMIT:
         raise NumericsError(
-            f"conditioning block is ill-conditioned "
-            f"(cond {np.linalg.cond(sig_mm):.3e} > {_COND_LIMIT:.0e})"
+            f"conditioning block is ill-conditioned (cond {cond:.3e} > {_COND_LIMIT:.0e})"
         )
-    try:
-        factor = cho_factor(sig_mm, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by cond check
-        raise NumericsError(f"conditioning block not factorizable: {exc}") from exc
-    mean = g.mean[r] + sig_rm @ cho_solve(factor, values - g.mean[m])
-    cov = symmetrize(sig_rr - sig_rm @ cho_solve(factor, sig_rm.T))
-    return GaussianDensity(mean, cov)
+    factor, info = lapack.dpotrf(sig_mm, lower=1, clean=0)
+    if info != 0:
+        raise NumericsError(f"conditioning block not factorizable (dpotrf info {info})")
+    rhs = np.concatenate(((values - g.mean.take(given))[:, np.newaxis], blocks[k:, :k]), axis=1)
+    x, _ = lapack.dpotrs(factor, rhs, lower=1)
+    sig_rm = blocks[:k, k:]
+    mean = g.mean.take(rest) + sig_rm @ x[:, 0]
+    return GaussianDensity(mean, blocks[:k, :k] - sig_rm @ x[:, 1:])
 
 
 def normal_cdf(z):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import GaussianDensity, symmetrize
+from .gaussian import GaussianDensity
 
 SEGMENT_ORDER = ("front", "right", "left", "rear")
 
@@ -90,10 +90,8 @@ class BoundarySegment:
 
     def frame_interval(self) -> tuple[float, float]:
         """Image of the tangent interval under the frame rotation."""
-        rot = self.frame_rotation()
-        a = rot @ np.asarray(self.point_at(self.t_lo))
-        b = rot @ np.asarray(self.point_at(self.t_hi))
-        lo, hi = sorted((a[1], b[1]))
+        nx, ny = self.normal  # y' = ny x - nx y, the second row of frame_rotation()
+        lo, hi = sorted(ny * x - nx * y for x, y in map(self.point_at, (self.t_lo, self.t_hi)))
         return lo, hi
 
 
@@ -148,7 +146,7 @@ def to_segment_frame(g: GaussianDensity, seg: BoundarySegment) -> GaussianDensit
     t = np.zeros((4, 4))
     t[:2, :2] = rot
     t[2:, 2:] = rot
-    return GaussianDensity(t @ g.mean, symmetrize(t @ g.cov @ t.T))
+    return GaussianDensity(t @ g.mean, t @ g.cov @ t.T)  # t signs and permutes: exact
 
 
 class ChordCrossings(NamedTuple):

@@ -96,27 +96,21 @@ def _boundary_conditional(
     gf = to_segment_frame(g4, seg)
     x0 = seg.frame_boundary_offset()
     y_lo, y_hi = seg.frame_interval()
-    var_x = gf.cov[0, 0]
+    var_x = float(gf.cov[0, 0])
     if var_x <= 0.0:
         raise NumericsError("marginal variance of the boundary coordinate is not > 0")
-    pdf_x0 = normal_pdf(x0, gf.mean[0], math.sqrt(var_x))
+    pdf_x0 = normal_pdf(x0, float(gf.mean[0]), math.sqrt(var_x))
     cond = condition(gf, (0,), (x0,))  # remaining order (y, xdot, ydot)
-    s11, s22, s12 = cond.cov[1, 1], cond.cov[0, 0], cond.cov[0, 1]
+    # Python floats from here: the closed forms are scalar arithmetic
+    (s22, s12, _), (_, s11, _) = cond.cov[:2].tolist()
+    mu2, mu1 = cond.mean[:2].tolist()
     det = s11 * s22 - s12 * s12
     # every method divides by these; a degenerate density must fail loudly
     # rather than read as a zero intensity
     if s11 <= 0.0 or s22 <= 0.0 or det <= 0.0:
         raise NumericsError("conditional covariance of (xdot, y) is singular")
     return _BoundaryConditional(
-        pdf_x0=pdf_x0,
-        mu1=cond.mean[1],
-        mu2=cond.mean[0],
-        s11=s11,
-        s22=s22,
-        s12=s12,
-        det=det,
-        y_lo=y_lo,
-        y_hi=y_hi,
+        pdf_x0=pdf_x0, mu1=mu1, mu2=mu2, s11=s11, s22=s22, s12=s12, det=det, y_lo=y_lo, y_hi=y_hi
     )
 
 

@@ -2,12 +2,13 @@
 
 The intensity curve of a scenario is built here and only here:
 `intensity_evaluator` maps a time to the total entry intensity of the
-scenario's predicted density, and `intensity_curve` samples it on a given
-time grid.  Also temporal integration of the entry intensity (expected
-number of entries, an upper bound on the collision probability),
-deterministic TTC seeds, the adaptive curve sampler, and the
-spatial-overlap comparator, a rectangle probability of the positional
-marginal in closed form (four bivariate normal CDFs).
+scenario's predicted density, `intensity_curve` samples it on a given
+time grid, and `compare_curves` samples every method and the spatial
+overlap on one predicted density per time.  Also temporal integration of
+the entry intensity (expected number of entries, an upper bound on the
+collision probability), deterministic TTC seeds, the adaptive curve
+sampler, and the spatial-overlap comparator, a rectangle probability of
+the positional marginal in closed form (four bivariate normal CDFs).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .dynamics import StateVector
 from .errors import NumericsError
 from .gaussian import GaussianDensity, bivariate_normal_cdf
 from .geometry import BoundarySegment, HostRectangle, segments
-from .intensity import RateSample, total_intensity
+from .intensity import METHODS, RateSample, total_intensity
 
 if TYPE_CHECKING:
     from .scenarios import ScenarioConfig
@@ -102,6 +103,21 @@ def intensity_curve(
     samples = tuple(ev(t) for t in times)
     span = (samples[0].t, samples[-1].t) if samples else (0.0, 0.0)
     return RateCurve(samples, *span)
+
+
+def compare_curves(
+    config: ScenarioConfig, times: Iterable[float]
+) -> tuple[dict[str, RateCurve], list[float]]:
+    """Every method's intensity curve and the spatial overlap at the given
+    increasing times, on one predicted density per time: the analytic
+    columns of `crossrate compare`."""
+    densities = [(float(t), config.predicted_density(t)) for t in times]
+    span = (densities[0][0], densities[-1][0]) if densities else (0.0, 0.0)
+    curves = {
+        m: RateCurve(tuple(total_intensity(g, config.rect, t, m) for t, g in densities), *span)
+        for m in METHODS
+    }
+    return curves, [spatial_overlap_probability(g, config.rect) for _, g in densities]
 
 
 def integrate_intensity(curve: RateCurve, t1: float, t2: float) -> ProbabilityBound:

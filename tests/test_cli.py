@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crossrate.scenarios as scenarios
 from crossrate.cli import main
 
 FRONT_SMALL = ["--preset", "front", "--n-traj", "800"]
@@ -383,6 +384,23 @@ class TestCompare:
             "ttc_right_rate",
         }
         assert json.loads((out / "manifest.json").read_text())["threads"] == 1
+
+    def test_predicts_each_bin_once(self, tmp_path, monkeypatch):
+        """The four methods and the spatial overlap share one predicted
+        density per bin."""
+        calls = []
+        original = scenarios.predict_density
+
+        def counting(g, dt, model, t0=0.0):
+            calls.append(dt)
+            return original(g, dt, model, t0)
+
+        monkeypatch.setattr(scenarios, "predict_density", counting)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("preset: front\nscenario:\n  n_traj: 200\n  horizon: 2.0\n")
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
+        rows = read_csv(tmp_path / "c" / "compare.csv")
+        assert len(calls) == len(set(calls)) == len(rows) == 40
 
 
 class TestErrorPaths:

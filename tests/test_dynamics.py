@@ -21,8 +21,9 @@ from crossrate import (
     steady_state_covariance,
     transition_matrix,
 )
+from crossrate import dynamics
 from crossrate.dynamics import EPS_SPEED, salient_jacobian
-from crossrate.errors import DomainError
+from crossrate.errors import DomainError, NumericsError
 
 CA_MODEL = MotionModel(qx=1.0, qy=1.0)
 INPUT_MODEL = MotionModel(
@@ -166,6 +167,14 @@ class TestPredictDensity:
     def test_rejects_wrong_dim(self):
         with pytest.raises(ValueError):
             predict_density(GaussianDensity([0.0], [[1.0]]), 1.0, CA_MODEL)
+
+    def test_lost_psd_is_a_numerics_error(self, monkeypatch):
+        """A propagated covariance below the PSD tolerance is a numerical
+        failure (exit 3), not a bad-input ValueError."""
+        monkeypatch.setattr(dynamics, "process_noise_cov", lambda dt, model: -2.0 * np.eye(6))
+        g = GaussianDensity(np.zeros(6), np.eye(6))
+        with pytest.raises(NumericsError, match=r"propagated covariance lost PSD \(min eig -1\)"):
+            predict_density(g, 0.0, CA_MODEL)
 
 
 class TestMeasurementFunction:

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.linalg import cho_factor, cho_solve
 
 from crossrate import (
     GaussianDensity,
@@ -47,6 +50,20 @@ class TestConstruction:
 
     def test_semidefinite_accepted(self):
         GaussianDensity([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["mean", "variance", "covariance"])
+    def test_rejects_non_finite(self, where, bad):
+        mean = np.zeros(2)
+        cov = np.eye(2)
+        if where == "mean":
+            mean[1] = bad
+        elif where == "variance":
+            cov[0, 0] = bad
+        else:
+            cov[0, 1] = cov[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaussianDensity(mean, cov)
 
 
 class TestMarginalize:
@@ -162,6 +179,63 @@ class TestCondition:
         m2, _ = integrate.quad(lambda x: (x - mu) ** 2 * slice_pdf(x), lo, hi)
         assert mu == pytest.approx(c.mean[0], abs=1e-8)
         assert m2 / norm == pytest.approx(c.cov[0, 0], rel=1e-6)
+
+
+def reference_condition(g, given, values):
+    """Conditional moments by the textbook block formulas, one cho_solve per
+    right-hand side: the reference for `condition`."""
+    rest = [i for i in range(g.dim) if i not in given]
+    sig_rm = g.cov[np.ix_(rest, given)]
+    factor = cho_factor(g.cov[np.ix_(given, given)], lower=True)
+    mean = g.mean[rest] + sig_rm @ cho_solve(factor, values - g.mean[given])
+    cov = g.cov[np.ix_(rest, rest)] - sig_rm @ cho_solve(factor, sig_rm.T)
+    return mean, 0.5 * (cov + cov.T)
+
+
+@st.composite
+def conditioning_cases(draw):
+    """(density, given, values): a PSD covariance F F^T + nugget I with F of
+    any rank, coordinates rescaled, and 1-3 given coordinates with at least
+    one left.  Low ranks and zero or tiny nuggets make singular and
+    ill-conditioned given blocks."""
+    dim = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, dim))
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=dim * rank, max_size=dim * rank)
+    factor = np.reshape(draw(entries), (dim, rank))
+    nugget = draw(st.sampled_from([0.0, 1e-14, 1e-9, 1e-4, 1.0]))
+    scale = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim)))
+    cov = (factor @ factor.T + nugget * np.eye(dim)) * np.outer(scale, scale)
+    mean = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)))
+    n_given = draw(st.integers(1, min(3, dim - 1)))
+    given = draw(st.permutations(range(dim)))[:n_given]
+    values = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n_given, max_size=n_given)))
+    return GaussianDensity(mean, 0.5 * (cov + cov.T)), list(given), values
+
+
+class TestConditionProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=conditioning_cases())
+    def test_matches_block_formulas_or_fails_loudly(self, case):
+        """Moments within 1e-12 relative of the reference where the given
+        block's 2-norm condition number is below 1e11; NumericsError where
+        it is above 1e13 or the block is singular."""
+        g, given, values = case
+        block = g.cov[np.ix_(given, given)]
+        cond = np.linalg.cond(block)
+        if cond > 1e13 or np.linalg.matrix_rank(block) < len(given):
+            with pytest.raises(NumericsError):
+                condition(g, given, values)
+            return
+        try:
+            c = condition(g, given, values)
+        except NumericsError:
+            assert cond >= 1e11
+            return
+        mean, cov = reference_condition(g, given, values)
+        cov_scale = np.abs(g.cov).max()
+        mean_scale = np.abs(mean).max() + np.abs(g.mean).max() + np.abs(values).max()
+        np.testing.assert_allclose(c.mean, mean, rtol=1e-12, atol=1e-12 * mean_scale)
+        np.testing.assert_allclose(c.cov, cov, rtol=1e-12, atol=1e-12 * cov_scale)
 
 
 class TestNormalCdf:
