@@ -37,11 +37,8 @@ from .dynamics import (
 )
 from .geometry import (
     BoundarySegment,
-    ChordCrossing,
-    CrossingEvent,
     HostRectangle,
     chord_crossings,
-    detect_crossings,
     segments,
     to_segment_frame,
 )
@@ -66,11 +63,8 @@ from .probability import (
 )
 from .montecarlo import (
     CampaignResult,
-    CollisionRecord,
     RateHistogram,
     run_campaign,
-    sample_initial,
-    simulate_trajectory,
     ttc_config,
     ttc_monte_carlo,
 )

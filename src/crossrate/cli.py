@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SalientOffset, salient_transform_density
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DomainError, NumericsError
 from .geometry import SEGMENT_ORDER
 from .intensity import METHODS, total_intensity
 from .montecarlo import run_campaign, ttc_config, ttc_monte_carlo
@@ -225,14 +225,14 @@ def _parse_offsets(specs: list[str]) -> list[SalientOffset]:
 def cmd_salient(args, config):
     offsets = _parse_offsets(args.offset or ["0,0"])
     ts = _grid(config.horizon, args.dt)
-    outputs = {}
-    for idx, off in enumerate(offsets):
-        rows = []
-        for t in ts:
-            g_s = salient_transform_density(
-                config.predicted_density(t), off, config.model, t
-            )
+    per_offset = [[] for _ in offsets]
+    for t in ts:
+        g = config.predicted_density(t)  # predicted once, transformed per offset
+        for off, rows in zip(offsets, per_offset):
+            g_s = salient_transform_density(g, off, config.model, t)
             rows.append([t] + [total_intensity(g_s, config.rect, t, m).mu_plus for m in METHODS])
+    outputs = {}
+    for idx, rows in enumerate(per_offset):
         path = _output(args, f"salient_{idx}.csv")
         _write_csv(path, ["t_s"] + [f"mu_total_{m}" for m in METHODS], rows)
         outputs[f"salient_{idx}"] = str(path)
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
         _write_json(manifest_path, manifest)
         print(f"wrote {', '.join(outputs.values())}, {manifest_path}")
         return 0
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:  # a DomainError comes from the scenario itself
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

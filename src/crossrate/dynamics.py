@@ -218,7 +218,7 @@ def predict_density(
         raise ValueError(f"expected a {STATE_DIM}-dim density, got {g.dim}")
     phi = transition_matrix(dt)
     mean = phi @ g.mean + input_increment(dt, model, t0)
-    cov = symmetrize(phi @ g.cov @ phi.T + process_noise_cov(dt, model))
+    cov = phi @ g.cov @ phi.T + process_noise_cov(dt, model)  # the density symmetrizes it
     try:
         return GaussianDensity(mean, cov)
     except _NotPSDError as exc:
@@ -373,5 +373,4 @@ def salient_transform_density(
     mean_state = StateVector.from_array(g.mean)
     new_mean = salient_transform_state(mean_state, off, model, t).as_array()
     jac = salient_jacobian(mean_state, off, model, t)
-    new_cov = symmetrize(jac @ g.cov @ jac.T)
-    return GaussianDensity(new_mean, new_cov)
+    return GaussianDensity(new_mean, jac @ g.cov @ jac.T)  # the density symmetrizes it

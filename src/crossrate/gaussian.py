@@ -1,12 +1,12 @@
 """Dense small-dimension Gaussian algebra.
 
-Marginalization, conditioning, 1D normal pdf/cdf and the bivariate normal
-CDF shared by the analytic intensity and prediction code.  All operations
-are pure and value-semantic.  A density is validated once, when built: a
-finite mean, a finite, symmetric and PSD covariance, one symmetrize and
-one eigenvalue-only LAPACK call; it is immutable after.  Conditioning
-takes the given block's condition number from its eigenvalues and solves
-with one Cholesky factorization.
+Marginalization, conditioning, scalar 1D normal pdf/cdf and the
+bivariate normal CDF shared by the analytic intensity and prediction
+code.  All operations are pure and value-semantic.  A density is
+validated once, when built: a finite mean, a finite, symmetric and PSD
+covariance, one symmetrize and one eigenvalue-only LAPACK call; it is
+immutable after.  Conditioning takes the given block's condition number
+from its eigenvalues and solves with one Cholesky factorization.
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ _SYM_RTOL = 1e-12
 _PSD_RTOL = 1e-10
 _COND_LIMIT = 1e12
 
-_SQRT2 = np.sqrt(2.0)
-_SQRT2PI = np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -135,11 +135,13 @@ def condition(g: GaussianDensity, given, values) -> GaussianDensity:
     return GaussianDensity(mean, blocks[:k, :k] - sig_rm @ x[:, 1:])
 
 
-def normal_cdf(z):
-    """Standard normal CDF via the complementary error function."""
-    z = np.asarray(z, dtype=float)
-    out = 0.5 * erfc(-z / _SQRT2)
-    return float(out) if out.ndim == 0 else out
+def normal_cdf(z: float) -> float:
+    """Standard normal CDF via the complementary error function.
+
+    The ufuncs erfc and np.exp stay in the normal helpers: math.erfc and
+    math.exp differ from them in the last bit for many inputs.
+    """
+    return 0.5 * float(erfc(-z / _SQRT2))
 
 
 def _owen_term(x: float, y: float, rho: float, rho_bar: float) -> float:
@@ -196,12 +198,10 @@ def bivariate_normal_cdf(
     return const + _owen_term(h, k, rho, rho_bar) + _owen_term(k, h, rho, rho_bar)
 
 
-def normal_pdf(x, mean=0.0, sigma=1.0):
+def normal_pdf(x: float, mean: float = 0.0, sigma: float = 1.0) -> float:
     """1D normal pdf N(x; mean, sigma)."""
-    x = np.asarray(x, dtype=float)
     u = (x - mean) / sigma
-    out = np.exp(-0.5 * u * u) / (sigma * _SQRT2PI)
-    return float(out) if out.ndim == 0 else out
+    return float(np.exp(-0.5 * u * u)) / (sigma * _SQRT2PI)
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:

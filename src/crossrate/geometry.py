@@ -3,8 +3,8 @@
 Four oriented boundary segments with inward normals, the rigid rotation
 that maps any segment onto the front-boundary configuration, and the one
 crossing detector, chord_crossings: it checks arrays of chords against
-all four sides at once, the Monte-Carlo oracle runs it on every step of
-every trajectory, and detect_crossings is its one-chord view.
+all four sides at once, and the Monte-Carlo oracle runs it on every step
+of every trajectory.
 """
 from __future__ import annotations
 
@@ -95,26 +95,6 @@ class BoundarySegment:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
-    """One boundary crossing, timestamped by the caller."""
-
-    time: float
-    segment: str
-    point: tuple[float, float]
-    kind: str  # 'entry' or 'exit'
-
-
-@dataclass(frozen=True)
-class ChordCrossing:
-    """Crossing of a single chord, located by fraction along the chord."""
-
-    fraction: float
-    segment: str
-    point: tuple[float, float]
-    kind: str
-
-
 def segments(rect: HostRectangle) -> tuple[BoundarySegment, ...]:
     """The four boundary segments in corner-tie-break priority order."""
     return (
@@ -156,7 +136,6 @@ class ChordCrossings(NamedTuple):
     fraction: np.ndarray  # position along the chord, in [0, 1)
     segment: np.ndarray  # index into SEGMENT_ORDER
     entry: np.ndarray  # True for an inward crossing, False for an outward one
-    tangent: np.ndarray  # crossing coordinate along the segment
 
     def select(self, index) -> ChordCrossings:
         return ChordCrossings(*(a[index] for a in self))
@@ -195,7 +174,7 @@ def chord_crossings(p0, p1, rect: HostRectangle) -> ChordCrossings:
         inward = d[:, 0] * seg.normal[0] + d[:, 1] * seg.normal[1]
         keep = (tangent >= seg.t_lo) & (tangent <= seg.t_hi) & (inward != 0.0)
         side = np.full(np.count_nonzero(keep), si)
-        parts.append((chord[keep], sv[keep], side, inward[keep] > 0.0, tangent[keep]))
+        parts.append((chord[keep], sv[keep], side, inward[keep] > 0.0))
     found = ChordCrossings(*(np.concatenate(arrays) for arrays in zip(*parts)))
     found = found.select(np.lexsort((found.segment, found.fraction, found.chord)))
     corner = (found.chord[1:] == found.chord[:-1]) & (
@@ -206,17 +185,3 @@ def chord_crossings(p0, p1, rect: HostRectangle) -> ChordCrossings:
     drop[:-1] |= corner & (found.entry[1:] != found.entry[:-1])
     return found.select(~drop)
 
-
-def detect_crossings(p0, p1, rect: HostRectangle) -> list[ChordCrossing]:
-    """Crossings of the single chord p0 -> p1, ordered along it.
-
-    A one-chord view of chord_crossings, which states the rules.
-    """
-    found = chord_crossings(np.reshape(p0, (1, 2)), np.reshape(p1, (1, 2)), rect)
-    sides = segments(rect)
-    return [
-        ChordCrossing(
-            float(s), sides[i].name, sides[i].point_at(float(t)), "entry" if e else "exit"
-        )
-        for s, i, e, t in zip(found.fraction, found.segment, found.entry, found.tangent)
-    ]

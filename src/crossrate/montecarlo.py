@@ -9,8 +9,7 @@ flight, so memory is bounded whatever the trajectory count.  A campaign
 batch goes through the horizon a chunk of steps at a time, noise drawn
 into reused buffers and the chunk's chords sent through
 geometry.chord_crossings (the one crossing detector) in one call, so
-memory does not grow with the horizon either.  simulate_trajectory runs
-the same kernel for one trajectory and keeps its crossings as events.
+memory does not grow with the horizon either.
 
 Per-trajectory noise comes from counter-based Philox streams keyed by
 (campaign seed, trajectory id), so results are bit-identical regardless
@@ -26,37 +25,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import StateVector, input_increment, process_noise_cov, transition_matrix
+from .dynamics import input_increment, process_noise_cov, transition_matrix
 from .errors import ConfigError
 from .gaussian import psd_factor
-from .geometry import SEGMENT_ORDER, ChordCrossings, CrossingEvent, chord_crossings, segments
+from .geometry import SEGMENT_ORDER, ChordCrossings, chord_crossings, segments
 from .probability import _line_roots
 from .scenarios import ScenarioConfig
 
 _BATCH_SIZE = 4096  # fixed by the algorithm, not by the thread count
 _STEP_CHUNK = 64  # steps of noise held per batch at once; bounds memory only
-
-
-@dataclass(frozen=True)
-class CollisionRecord:
-    """All boundary crossings of one simulated trajectory."""
-
-    traj_id: int
-    events: tuple[CrossingEvent, ...]
-
-    @property
-    def n_entries_host(self) -> int:
-        return sum(1 for ev in self.events if ev.kind == "entry")
-
-    @property
-    def first_entry(self) -> CrossingEvent | None:
-        for ev in self.events:
-            if ev.kind == "entry":
-                return ev
-        return None
-
-    def segment_entry_times(self, name: str) -> list[float]:
-        return [ev.time for ev in self.events if ev.kind == "entry" and ev.segment == name]
 
 
 @dataclass(frozen=True)
@@ -124,11 +101,6 @@ def _initial_states(config: ScenarioConfig, rngs: Iterable[np.random.Generator])
     factor = psd_factor(config.resolve_initial_cov())
     rows = (mean + factor @ rng.standard_normal(6) for rng in rngs)
     return np.fromiter(rows, dtype=(float, 6))
-
-
-def sample_initial(config: ScenarioConfig, rng: np.random.Generator) -> StateVector:
-    """Draw one initial state from N(mean, P0) on the given stream."""
-    return StateVector.from_array(_initial_states(config, [rng])[0])
 
 
 def _step_kernel(config: ScenarioConfig):
@@ -234,29 +206,6 @@ def _simulate_batch(config: ScenarioConfig, traj_ids: range, kernel):
     boundary = np.bincount(seg[first], minlength=n_seg)
     multiplicity = np.bincount(np.bincount(row, minlength=b))
     return first_counts, all_counts, boundary, multiplicity
-
-
-def simulate_trajectory(
-    x0: StateVector, config: ScenarioConfig, rng: np.random.Generator
-) -> CollisionRecord:
-    """Simulate one trajectory from a given initial state.
-
-    Noise increments are drawn from `rng` in the same order the campaign
-    uses, so run_campaign with n_traj=1 reproduces this exactly.
-    """
-    crossings = _stream_crossings(
-        config, x0.as_array()[np.newaxis, :], [rng], _step_kernel(config)
-    )
-    c, _, times = _by_row(crossings, 1, config)
-    sides = segments(config.rect)
-    events = []
-    for t, si, is_entry, tangent in zip(times, c.segment, c.entry, c.tangent):
-        seg = sides[si]
-        kind = "entry" if is_entry else "exit"
-        events.append(CrossingEvent(float(t), seg.name, seg.point_at(float(tangent)), kind))
-        if is_entry and config.terminate_on_entry:
-            break
-    return CollisionRecord(0, tuple(events))
 
 
 def _batch_counts(config: ScenarioConfig, kernel, pool: ThreadPoolExecutor, threads: int):

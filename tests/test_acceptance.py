@@ -15,9 +15,9 @@ from crossrate import (
     SalientOffset,
     StateVector,
     adaptive_sample,
+    chord_crossings,
     condition,
     deterministic_ttc_seeds,
-    detect_crossings,
     integrate_intensity,
     intensity_curve,
     intensity_evaluator,
@@ -365,15 +365,24 @@ class TestCriterion7NumericsProperties:
     def test_crossing_parity_10000_polylines(self):
         rect = HostRectangle(0.0, -5.0, -1.0, 1.0)
         rng = np.random.default_rng(73)
+        polylines = []
         for _ in range(10_000):
             n_pts = int(rng.integers(3, 9))
-            pts = rng.uniform([-8, -4], [4, 4], size=(n_pts, 2))
+            polylines.append(rng.uniform([-8, -4], [4, 4], size=(n_pts, 2)))
+        # every chord of every polyline in one call, chords numbered in order
+        p0 = np.concatenate([pts[:-1] for pts in polylines])
+        p1 = np.concatenate([pts[1:] for pts in polylines])
+        found = chord_crossings(p0, p1, rect)
+        # the steps of each chord, +1 per entry and -1 per exit, in order along it
+        starts = np.searchsorted(found.chord, np.arange(1, len(p0)))
+        per_chord = iter(np.split(np.where(found.entry, 1, -1), starts))
+        for pts in polylines:
             inside = 1 if rect.contains(pts[0]) else 0
-            for p0, p1 in zip(pts[:-1], pts[1:]):
-                for ev in detect_crossings(p0, p1, rect):
-                    inside += 1 if ev.kind == "entry" else -1
+            for end in pts[1:]:
+                for step in next(per_chord).tolist():
+                    inside += step
                     assert inside in (0, 1)
-                assert inside == (1 if rect.contains(p1) else 0)
+                assert inside == (1 if rect.contains(end) else 0)
         print(
             "criterion 7 [crossing parity]: 10000 random polylines consistent "
             "with point-in-rectangle membership"

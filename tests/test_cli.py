@@ -20,6 +20,19 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def count_predictions(monkeypatch):
+    """The dt of every scenarios.predict_density call from here on, in order."""
+    calls = []
+    original = scenarios.predict_density
+
+    def counting(g, dt, model, t0=0.0):
+        calls.append(dt)
+        return original(g, dt, model, t0)
+
+    monkeypatch.setattr(scenarios, "predict_density", counting)
+    return calls
+
+
 class TestSimulate:
     def test_outputs_and_schema(self, tmp_path):
         out = tmp_path / "sim"
@@ -362,6 +375,18 @@ class TestSalient:
         )
 
 
+    def test_predicts_each_time_once(self, tmp_path, monkeypatch):
+        """Every offset transforms the one density predicted at each time."""
+        calls = count_predictions(monkeypatch)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("preset: front\nscenario:\n  horizon: 2.0\n")
+        argv = ["salient", "--config", str(cfg), "--offset", "2,1", "--offset=-2,1"]
+        assert main([*argv, "--out-dir", str(tmp_path / "s")]) == 0
+        for idx in (0, 1):
+            assert len(read_csv(tmp_path / "s" / f"salient_{idx}.csv")) == 41
+        assert len(calls) == len(set(calls)) == 41
+
+
 class TestCompare:
     def test_shared_grid_schema(self, tmp_path):
         out = tmp_path / "c"
@@ -388,14 +413,7 @@ class TestCompare:
     def test_predicts_each_bin_once(self, tmp_path, monkeypatch):
         """The four methods and the spatial overlap share one predicted
         density per bin."""
-        calls = []
-        original = scenarios.predict_density
-
-        def counting(g, dt, model, t0=0.0):
-            calls.append(dt)
-            return original(g, dt, model, t0)
-
-        monkeypatch.setattr(scenarios, "predict_density", counting)
+        calls = count_predictions(monkeypatch)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("preset: front\nscenario:\n  n_traj: 200\n  horizon: 2.0\n")
         assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
@@ -418,6 +436,28 @@ class TestErrorPaths:
         assert main([*argv, "--out-dir", str(tmp_path / "p")]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "p" / "probability.json").exists()
+
+    AT_ORIGIN = "scenario:\n  initial_mean: [0, 0, -2, 0, 0, 0]"  # zero radar range
+    STATIONARY = "scenario:\n  initial_mean: [10, 0, 0, 0, 0, 0]\nmodel:\n  input: {enabled: false}"
+
+    @pytest.mark.parametrize(
+        "argv, scenario, message",
+        [
+            (["intensity", "--dt", "4"], AT_ORIGIN, "zero range"),
+            (["simulate", "--n-traj", "10"], AT_ORIGIN, "zero range"),
+            (["salient", "--dt", "4"], STATIONARY, "orientation undefined"),
+        ],
+        ids=["intensity-zero-range", "simulate-zero-range", "salient-stationary"],
+    )
+    def test_domain_error_exit_2(self, tmp_path, capsys, argv, scenario, message):
+        """A scenario outside a map's domain is a configuration error, reported in one line."""
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"preset: front\n{scenario}\n")
+        assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_yaml_exit_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -7,10 +7,10 @@ from crossrate import (
     GaussianDensity,
     HostRectangle,
     chord_crossings,
-    detect_crossings,
     segments,
     to_segment_frame,
 )
+from crossrate.geometry import SEGMENT_ORDER
 
 RECT = HostRectangle(0.0, -5.0, -1.0, 1.0)
 
@@ -113,61 +113,62 @@ class TestSegmentFrame:
             to_segment_frame(GaussianDensity([0.0], [[1.0]]), segments(RECT)[0])
 
 
+def crossing_list(p0, p1):
+    """chord_crossings of chords p0[i] -> p1[i] as (chord, side name, entry) tuples."""
+    found = chord_crossings(p0, p1, RECT)
+    names = [SEGMENT_ORDER[i] for i in found.segment]
+    return list(zip(found.chord.tolist(), names, found.entry.tolist()))
+
+
 class TestDetectCrossings:
+    """Single chords and polylines through chord_crossings."""
+
     def test_head_on_front_entry(self):
-        events = detect_crossings((1.0, 0.0), (-1.0, 0.0), RECT)
-        assert len(events) == 1
-        ev = events[0]
-        assert ev.segment == "front" and ev.kind == "entry"
-        assert ev.fraction == pytest.approx(0.5)
-        assert ev.point == pytest.approx((0.0, 0.0))
+        p0, p1 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+        found = chord_crossings([p0], [p1], RECT)
+        assert crossing_list([p0], [p1]) == [(0, "front", True)]
+        assert found.fraction[0] == pytest.approx(0.5)
+        assert p0 + found.fraction[0] * (p1 - p0) == pytest.approx((0.0, 0.0))
 
     def test_chord_outside_is_empty(self):
-        assert detect_crossings((2.0, 5.0), (3.0, 6.0), RECT) == []
+        assert crossing_list([(2.0, 5.0)], [(3.0, 6.0)]) == []
 
     def test_degenerate_chord_is_empty(self):
-        assert detect_crossings((0.5, 0.0), (0.5, 0.0), RECT) == []
+        assert crossing_list([(0.5, 0.0)], [(0.5, 0.0)]) == []
 
     def test_enter_front_exit_right_ordering(self):
-        events = detect_crossings((0.5, 0.2), (-0.5, 1.4), RECT)
-        assert [ev.segment for ev in events] == ["front", "right"]
-        assert [ev.kind for ev in events] == ["entry", "exit"]
-        assert events[0].fraction < events[1].fraction
+        found = chord_crossings([(0.5, 0.2)], [(-0.5, 1.4)], RECT)
+        assert [SEGMENT_ORDER[i] for i in found.segment] == ["front", "right"]
+        assert found.entry.tolist() == [True, False]
+        assert found.fraction[0] < found.fraction[1]
 
     def test_corner_graze_cancels(self):
         # diagonal touch of the front/right corner never enters the interior
-        assert detect_crossings((0.5, 0.5), (-0.5, 1.5), RECT) == []
+        assert crossing_list([(0.5, 0.5)], [(-0.5, 1.5)]) == []
 
     def test_reversal_swaps_entry_exit(self):
         p0, p1 = (1.0, 0.2), (-1.0, -0.4)
-        fwd = detect_crossings(p0, p1, RECT)
-        rev = detect_crossings(p1, p0, RECT)
-        assert [ev.kind for ev in fwd] == ["entry"]
-        assert [ev.kind for ev in rev] == ["exit"]
+        assert [entry for _, _, entry in crossing_list([p0], [p1])] == [True]
+        assert [entry for _, _, entry in crossing_list([p1], [p0])] == [False]
 
     def test_corner_hit_single_event_front_priority(self):
-        events = detect_crossings((0.5, 1.5), (-0.5, 0.5), RECT)
-        assert len(events) == 1
-        assert events[0].segment == "front"
+        assert crossing_list([(0.5, 1.5)], [(-0.5, 0.5)]) == [(0, "front", True)]
 
     def test_tangential_slide_closed_boundary(self):
         # motion exactly along the front face: the chord lies on the closed
         # rectangle between the corners, entering at left and exiting at
-        # right, consistent with the point-in-rectangle parity invariant
-        events = detect_crossings((0.0, -2.0), (0.0, 2.0), RECT)
-        assert [ev.segment for ev in events] == ["left", "right"]
-        assert [ev.kind for ev in events] == ["entry", "exit"]
+        # right, consistent with the point-in-rectangle parity invariant;
         # the front line itself is never crossed (no x-motion)
-        assert all(ev.segment != "front" for ev in events)
+        assert crossing_list([(0.0, -2.0)], [(0.0, 2.0)]) == [
+            (0, "left", True),
+            (0, "right", False),
+        ]
 
     def test_vertex_on_side_counted_once(self):
         # the chord ending on the front side does not count it, the chord
         # starting there does: one entry for the polyline
-        pts = [(1.0, 0.0), (0.0, 0.0), (-1.0, 0.0)]
-        events = [
-            ev for p0, p1 in zip(pts[:-1], pts[1:]) for ev in detect_crossings(p0, p1, RECT)
-        ]
-        assert [(ev.segment, ev.kind) for ev in events] == [("front", "entry")]
+        pts = np.array([(1.0, 0.0), (0.0, 0.0), (-1.0, 0.0)])
+        assert crossing_list(pts[:-1], pts[1:]) == [(1, "front", True)]
 
     def test_entry_exit_parity_random_polylines(self):
         """Cumulative entries - exits equals the point-in-rectangle flag."""
@@ -175,28 +176,30 @@ class TestDetectCrossings:
         for _ in range(300):
             n_pts = int(rng.integers(3, 12))
             pts = rng.uniform([-8, -4], [4, 4], size=(n_pts, 2))
+            found = chord_crossings(pts[:-1], pts[1:], RECT)
             inside = 1 if RECT.contains(pts[0]) else 0
-            for p0, p1 in zip(pts[:-1], pts[1:]):
-                for ev in detect_crossings(p0, p1, RECT):
-                    inside += 1 if ev.kind == "entry" else -1
+            for i, p1 in enumerate(pts[1:]):
+                for entry in found.entry[found.chord == i]:
+                    inside += 1 if entry else -1
                     assert inside in (0, 1)
                 assert inside == (1 if RECT.contains(p1) else 0)
 
     def test_events_lie_on_their_segment(self):
         rng = np.random.default_rng(77)
-        by_name = {seg.name: seg for seg in segments(RECT)}
-        for _ in range(200):
-            p0 = rng.uniform([-8, -4], [4, 4])
-            p1 = rng.uniform([-8, -4], [4, 4])
-            for ev in detect_crossings(p0, p1, RECT):
-                seg = by_name[ev.segment]
-                x, y = ev.point
-                if seg.axis == "x":
-                    assert abs(x - seg.coord) < 1e-9
-                    assert seg.t_lo - 1e-9 <= y <= seg.t_hi + 1e-9
-                else:
-                    assert abs(y - seg.coord) < 1e-9
-                    assert seg.t_lo - 1e-9 <= x <= seg.t_hi + 1e-9
+        chords = rng.uniform([-8, -4], [4, 4], size=(200, 2, 2))  # the draws p0, p1 in turn
+        p0, p1 = chords[:, 0], chords[:, 1]
+        found = chord_crossings(p0, p1, RECT)
+        s = found.fraction[:, np.newaxis]
+        points = p0[found.chord] + s * (p1[found.chord] - p0[found.chord])
+        sides = segments(RECT)
+        for (x, y), si in zip(points.tolist(), found.segment):
+            seg = sides[si]
+            if seg.axis == "x":
+                assert abs(x - seg.coord) < 1e-9
+                assert seg.t_lo - 1e-9 <= y <= seg.t_hi + 1e-9
+            else:
+                assert abs(y - seg.coord) < 1e-9
+                assert seg.t_lo - 1e-9 <= x <= seg.t_hi + 1e-9
 
 
 def reference_crossings(p0, p1, rect):

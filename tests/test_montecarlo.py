@@ -11,23 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossrate import (
-    CollisionRecord,
     HostRectangle,
     MotionModel,
     ScenarioConfig,
     StateVector,
-    detect_crossings,
+    chord_crossings,
+    predict_mean,
     preset_config,
     run_campaign,
-    sample_initial,
-    simulate_trajectory,
     ttc_config,
     ttc_monte_carlo,
 )
 from crossrate import montecarlo
 from crossrate.errors import ConfigError
-from crossrate.geometry import SEGMENT_ORDER, CrossingEvent
-from crossrate.montecarlo import _traj_rng
+from crossrate.geometry import SEGMENT_ORDER
+from crossrate.montecarlo import (
+    _by_row,
+    _initial_states,
+    _step_kernel,
+    _stream_crossings,
+    _traj_rng,
+)
 
 CA_MODEL = MotionModel(qx=0.0, qy=0.0)
 
@@ -42,6 +46,22 @@ def straight_config(x0=10.0, y0=0.0, xdot=-2.0, ydot=0.0, **kw):
     )
     defaults.update(kw)
     return ScenarioConfig(**defaults)
+
+
+def trajectory_crossings(cfg, x0, rng):
+    """Crossings of one trajectory from state x0 and their times, in time order.
+
+    `rng` must be past the initial-state draw, as the campaign leaves it.
+    """
+    found = _stream_crossings(cfg, np.reshape(x0, (1, 6)), [rng], _step_kernel(cfg))
+    c, _, t = _by_row(found, 1, cfg)
+    return c, t
+
+
+def first_entry(c, t):
+    """(side name, time) of the first entry among time-ordered crossings, or None."""
+    i = np.flatnonzero(c.entry)
+    return (SEGMENT_ORDER[c.segment[i[0]]], t[i[0]]) if len(i) else None
 
 
 class TestScenarioConfig:
@@ -68,18 +88,18 @@ class TestScenarioConfig:
 
 
 class TestSampleInitial:
+    """Initial-state draws of _initial_states, one Philox stream per trajectory."""
+
     def test_zero_cov_returns_mean(self):
         cfg = straight_config()
-        s = sample_initial(cfg, _traj_rng(cfg.seed, 0))
-        np.testing.assert_allclose(s.as_array(), cfg.initial_mean.as_array())
+        s = _initial_states(cfg, [_traj_rng(cfg.seed, 0)])[0]
+        np.testing.assert_allclose(s, cfg.initial_mean.as_array())
 
     def test_empirical_moments(self):
         cov = np.diag([0.4, 0.3, 0.2, 0.2, 0.05, 0.05])
         cfg = straight_config(initial_cov=cov)
         n = 100_000
-        draws = np.array(
-            [sample_initial(cfg, _traj_rng(cfg.seed, i)).as_array() for i in range(n)]
-        )
+        draws = _initial_states(cfg, (_traj_rng(cfg.seed, i) for i in range(n)))
         mean = cfg.initial_mean.as_array()
         sd = np.sqrt(np.diag(cov))
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * sd / math.sqrt(n))
@@ -89,42 +109,40 @@ class TestSampleInitial:
 
     def test_deterministic_per_traj_id(self):
         cfg = straight_config(initial_cov=np.eye(6))
-        a = sample_initial(cfg, _traj_rng(cfg.seed, 5)).as_array()
-        b = sample_initial(cfg, _traj_rng(cfg.seed, 5)).as_array()
-        c = sample_initial(cfg, _traj_rng(cfg.seed, 6)).as_array()
+        a, b, c = _initial_states(cfg, (_traj_rng(cfg.seed, i) for i in (5, 5, 6)))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
 
 class TestSimulateTrajectory:
+    """Crossings of single trajectories, from _stream_crossings and _by_row."""
+
+    @staticmethod
+    def crossings(cfg):
+        return trajectory_crossings(cfg, cfg.initial_mean.as_array(), _traj_rng(cfg.seed, 0))
+
     def test_straight_inbound_single_entry(self):
         cfg = straight_config()
-        rec = simulate_trajectory(cfg.initial_mean, cfg, _traj_rng(cfg.seed, 0))
-        entries = [ev for ev in rec.events if ev.kind == "entry"]
-        assert len(entries) == 1
-        assert entries[0].segment == "front"
-        assert entries[0].time == pytest.approx(5.0, abs=cfg.sim_step)
+        c, t = self.crossings(cfg)
+        assert np.count_nonzero(c.entry) == 1
+        side, time = first_entry(c, t)
+        assert side == "front"
+        assert time == pytest.approx(5.0, abs=cfg.sim_step)
 
     def test_far_trajectory_no_events(self):
-        cfg = straight_config(x0=100.0, y0=100.0, xdot=1.0, ydot=1.0)
-        rec = simulate_trajectory(cfg.initial_mean, cfg, _traj_rng(cfg.seed, 0))
-        assert rec.events == ()
+        c, _ = self.crossings(straight_config(x0=100.0, y0=100.0, xdot=1.0, ydot=1.0))
+        assert len(c.chord) == 0
 
     def test_two_entry_record_from_scripted_waypoints(self):
         """Enter front, exit right, re-enter right: N+ = 2, right first-entry 1."""
         rect = HostRectangle(0.0, -5.0, -1.0, 1.0)
-        waypoints = [(1.0, 0.0), (-1.0, 0.0), (-1.0, 2.0), (-2.0, 0.5)]
-        events = []
-        for k, (p0, p1) in enumerate(zip(waypoints[:-1], waypoints[1:])):
-            for cx in detect_crossings(p0, p1, rect):
-                events.append(
-                    CrossingEvent(k + cx.fraction, cx.segment, cx.point, cx.kind)
-                )
-        rec = CollisionRecord(0, tuple(events))
-        assert rec.n_entries_host == 2
-        assert [ev.kind for ev in rec.events] == ["entry", "exit", "entry"]
-        assert rec.first_entry.segment == "front"
-        assert len(rec.segment_entry_times("right")) == 1
+        waypoints = np.array([(1.0, 0.0), (-1.0, 0.0), (-1.0, 2.0), (-2.0, 0.5)])
+        c = chord_crossings(waypoints[:-1], waypoints[1:], rect)
+        assert np.count_nonzero(c.entry) == 2
+        assert c.entry.tolist() == [True, False, True]
+        assert first_entry(c, c.chord + c.fraction)[0] == "front"
+        right = SEGMENT_ORDER.index("right")
+        assert np.count_nonzero(c.entry & (c.segment == right)) == 1
 
     def test_exact_corner_hit_is_one_entry(self):
         # zero noise, 0.5 s steps: the chord (0.25, 1.25) -> (-0.75, 0.25)
@@ -132,24 +150,25 @@ class TestSimulateTrajectory:
         cfg = straight_config(
             x0=1.25, y0=2.25, xdot=-2.0, ydot=-2.0, sim_step=0.5, bin_width=0.5, horizon=3.0
         )
-        rec = simulate_trajectory(cfg.initial_mean, cfg, _traj_rng(cfg.seed, 0))
-        assert rec.n_entries_host == 1
-        assert rec.first_entry.segment == "front"
-        assert rec.first_entry.time == 0.625
-        assert rec.first_entry.point == (0.0, 1.0)
+        c, t = self.crossings(cfg)
+        assert np.count_nonzero(c.entry) == 1
+        side, time = first_entry(c, t)
+        assert side == "front"
+        assert time == 0.625
+        at_entry = predict_mean(cfg.initial_mean, time, cfg.model)  # the zero-noise path
+        assert (at_entry.x, at_entry.y) == (0.0, 1.0)
 
     def test_diagonal_corner_graze_has_no_events(self):
         # the line x + y = 1 touches the rectangle at the front-right corner only
         cfg = straight_config(
             x0=1.25, y0=-0.25, xdot=-2.0, ydot=2.0, sim_step=0.5, bin_width=0.5, horizon=3.0
         )
-        rec = simulate_trajectory(cfg.initial_mean, cfg, _traj_rng(cfg.seed, 0))
-        assert rec.events == ()
+        c, _ = self.crossings(cfg)
+        assert len(c.chord) == 0
 
     def test_crossing_time_interpolated_within_step(self):
         cfg = straight_config(sim_step=0.05, bin_width=0.05)
-        rec = simulate_trajectory(cfg.initial_mean, cfg, _traj_rng(cfg.seed, 0))
-        t = rec.first_entry.time
+        _, t = first_entry(*self.crossings(cfg))
         # 10 / 2 = 5.0 exactly; chord interpolation recovers it sub-step
         assert t == pytest.approx(5.0, abs=1e-9)
 
@@ -160,14 +179,14 @@ class TestRunCampaign:
         cov = cfg.resolve_initial_cov()
         cfg = dataclasses.replace(cfg, initial_cov=cov)
         rng = _traj_rng(cfg.seed, 0)
-        x0 = sample_initial(cfg, rng)
-        rec = simulate_trajectory(x0, cfg, rng)
+        x0 = _initial_states(cfg, [rng])[0]
+        entry = first_entry(*trajectory_crossings(cfg, x0, rng))
         res = run_campaign(cfg)
-        if rec.first_entry is None:
+        if entry is None:
             assert res.entry_stats["p_at_least_one"] == 0.0
         else:
             assert res.entry_stats["p_at_least_one"] == 1.0
-            bi = int(rec.first_entry.time / cfg.bin_width)
+            bi = int(entry[1] / cfg.bin_width)
             assert res.histogram.first_entry_counts["total"][bi] == 1
 
     def test_deterministic_across_threads(self):
@@ -259,7 +278,7 @@ def assert_same_campaign(a, b):
 
 
 def counts_from_records(cfg):
-    """Campaign counts rebuilt one trajectory at a time from event records."""
+    """Campaign counts rebuilt one trajectory and one crossing at a time."""
     n_bins = cfg.n_bins
     keys = ["total", *SEGMENT_ORDER]
     first = {k: np.zeros(n_bins, dtype=np.int64) for k in keys}
@@ -267,25 +286,29 @@ def counts_from_records(cfg):
     multiplicity = Counter()
     boundary = dict.fromkeys(SEGMENT_ORDER, 0)
 
-    def bin_of(ev):
-        return min(int(ev.time / cfg.bin_width), n_bins - 1)
+    def bin_of(time):
+        return min(int(time / cfg.bin_width), n_bins - 1)
 
     for i in range(cfg.n_traj):
         rng = _traj_rng(cfg.seed, i)
-        rec = simulate_trajectory(sample_initial(cfg, rng), cfg, rng)
-        entries = [ev for ev in rec.events if ev.kind == "entry"]
+        c, t = trajectory_crossings(cfg, _initial_states(cfg, [rng])[0], rng)
+        entries = [
+            (time, SEGMENT_ORDER[seg]) for time, seg, entry in zip(t, c.segment, c.entry) if entry
+        ]
+        if cfg.terminate_on_entry:
+            entries = entries[:1]
         if not entries:
             continue
         multiplicity[len(entries)] += 1
-        first["total"][bin_of(entries[0])] += 1
-        boundary[entries[0].segment] += 1
+        first["total"][bin_of(entries[0][0])] += 1
+        boundary[entries[0][1]] += 1
         seen = set()
-        for ev in entries:
-            all_["total"][bin_of(ev)] += 1
-            all_[ev.segment][bin_of(ev)] += 1
-            if ev.segment not in seen:
-                seen.add(ev.segment)
-                first[ev.segment][bin_of(ev)] += 1
+        for time, segment in entries:
+            all_["total"][bin_of(time)] += 1
+            all_[segment][bin_of(time)] += 1
+            if segment not in seen:
+                seen.add(segment)
+                first[segment][bin_of(time)] += 1
     return first, all_, dict(sorted(multiplicity.items())), boundary
 
 
@@ -298,7 +321,7 @@ WEAVING = dict(
 
 
 class TestCountPathMatchesEventPath:
-    """run_campaign's in-place counts equal counts of simulate_trajectory records."""
+    """run_campaign's in-place counts equal per-crossing counts of each trajectory."""
 
     @pytest.mark.parametrize(
         "preset, overrides, threads",
@@ -425,9 +448,10 @@ class TestTtcMonteCarlo:
         edges = result["bin_edges"]
         assert edges[hit_bins[0]] <= t_right <= edges[hit_bins[0] + 1]
         # the full 2D simulation agrees: the trajectory enters at the right
-        rec = simulate_trajectory(cfg.initial_mean, cfg, _traj_rng(cfg.seed, 0))
-        assert rec.first_entry.segment == "right"
-        assert rec.first_entry.time == pytest.approx(t_right, abs=1e-9)
+        x0 = cfg.initial_mean.as_array()
+        side, time = first_entry(*trajectory_crossings(cfg, x0, _traj_rng(cfg.seed, 0)))
+        assert side == "right"
+        assert time == pytest.approx(t_right, abs=1e-9)
 
     def test_receding_draws_empty(self):
         cfg = straight_config(xdot=2.0, n_traj=20)
