@@ -3,8 +3,9 @@
 Each `cmd_*` writes its data files and returns the config it ran, its
 output paths and any extra manifest fields; `main` alone then writes
 `manifest.json` next to the data files, recording the fully resolved
-configuration, seed, tool version, output paths, and wall-clock duration,
-so any output can be reproduced from its manifest alone.  Intensity
+configuration, seed, tool version, output paths, and wall-clock duration
+(campaigns add their worker count and peak memory), so any output can be
+reproduced from its manifest alone.  Intensity
 curves come from `probability.intensity_curve`, `intensity_evaluator` and
 `compare_curves`.
 All CSV numbers use locale-independent formatting with 9 significant
@@ -30,7 +31,7 @@ from .dynamics import SalientOffset, salient_transform_density
 from .errors import ConfigError, DomainError, NumericsError
 from .geometry import SEGMENT_ORDER
 from .intensity import METHODS, total_intensity
-from .montecarlo import run_campaign, ttc_config, ttc_monte_carlo
+from .montecarlo import CampaignResult, peak_rss_mb, run_campaign, ttc_config, ttc_monte_carlo
 from .probability import (
     adaptive_sample,
     compare_curves,
@@ -123,6 +124,18 @@ def _curve_rows(curve: RateCurve):
 _CURVE_HEADER = ["t_s", "mu_total", "mu_front", "mu_right", "mu_left", "mu_rear"]
 
 
+def _campaign_fields(args, result: CampaignResult) -> dict:
+    """Manifest fields of a campaign: its workers and the peak RSS, MB, of the
+    calling process and summed over the worker processes (0 with one worker)."""
+    return {
+        "threads": args.threads,
+        "peak_rss_mb": {
+            "parent": round(peak_rss_mb(), 1),
+            "workers_sum": round(sum(result.worker_peak_rss_mb), 1),
+        },
+    }
+
+
 def cmd_simulate(args, config):
     result = run_campaign(config, threads=args.threads)
     hist = result.histogram
@@ -138,7 +151,7 @@ def cmd_simulate(args, config):
     return (
         config,
         {"histogram": str(hist_path), "statistics": str(stats_path)},
-        {"threads": args.threads},
+        _campaign_fields(args, result),
     )
 
 
@@ -262,7 +275,7 @@ def cmd_compare(args, config):
         + ["spatial_overlap", "ttc_front_rate", "ttc_right_rate"],
         rows,
     )
-    return config, {"compare": str(path)}, {"threads": args.threads}
+    return config, {"compare": str(path)}, _campaign_fields(args, result)
 
 
 def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
@@ -275,7 +288,7 @@ def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
         "--seed", type=int, help="campaign seed (falls back to CROSSRATE_SEED)"
     )
     if threads:
-        p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
+        p.add_argument("--threads", type=_positive_int, default=1, help="worker processes")
     if n_traj:
         p.add_argument("--n-traj", type=int, dest="n_traj", help="trajectory count")
 

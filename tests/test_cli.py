@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crossrate.montecarlo as montecarlo
 import crossrate.scenarios as scenarios
 from crossrate.cli import main
+from crossrate.errors import NumericsError
 
 FRONT_SMALL = ["--preset", "front", "--n-traj", "800"]
 
@@ -75,6 +77,20 @@ class TestSimulate:
         argv = ["simulate", *FRONT_SMALL, "--threads", "3", "--out-dir", str(tmp_path)]
         assert main(argv) == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["threads"] == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_manifest_records_peak_rss(self, tmp_path, monkeypatch, command):
+        """The parent's peak RSS, and the workers' summed, which is 0 with no workers."""
+        monkeypatch.setattr(montecarlo, "_BATCH_SIZE", 400)  # two batches of FRONT_SMALL
+        peaks = {}
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            argv = [command, *FRONT_SMALL, "--threads", str(threads), "--out-dir", str(out)]
+            assert main(argv) == 0
+            peaks[threads] = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        assert peaks[1]["parent"] > 0.0 and peaks[2]["parent"] > 0.0
+        assert peaks[1]["workers_sum"] == 0.0
+        assert peaks[2]["workers_sum"] > 0.0
 
     def test_zero_trajectories_exit_2(self, tmp_path, capsys):
         code = main(
@@ -436,6 +452,17 @@ class TestErrorPaths:
         assert main([*argv, "--out-dir", str(tmp_path / "p")]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "p" / "probability.json").exists()
+
+    def test_worker_numerics_error_exit_3(self, tmp_path, monkeypatch, capsys):
+        def failing(*args):
+            raise NumericsError("raised in a worker")
+
+        monkeypatch.setattr(montecarlo, "_BATCH_SIZE", 400)  # two batches of FRONT_SMALL
+        monkeypatch.setattr(montecarlo, "_stream_crossings", failing)  # forked into the workers
+        argv = ["simulate", *FRONT_SMALL, "--threads", "2", "--out-dir", str(tmp_path)]
+        assert main(argv) == 3
+        assert "numerical failure: raised in a worker" in capsys.readouterr().err
+        assert not (tmp_path / "histogram.csv").exists()
 
     AT_ORIGIN = "scenario:\n  initial_mean: [0, 0, -2, 0, 0, 0]"  # zero radar range
     STATIONARY = "scenario:\n  initial_mean: [10, 0, 0, 0, 0, 0]\nmodel:\n  input: {enabled: false}"

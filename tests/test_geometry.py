@@ -171,11 +171,19 @@ class TestDetectCrossings:
         assert crossing_list(pts[:-1], pts[1:]) == [(1, "front", True)]
 
     def test_entry_exit_parity_random_polylines(self):
-        """Cumulative entries - exits equals the point-in-rectangle flag."""
+        """Cumulative entries - exits equals the point-in-rectangle flag.
+
+        Half the polylines spread over the plane; the other half keep close
+        to the sides and corners and pass exactly through corners, so a
+        side span or the corner rule that is off shows.
+        """
         rng = np.random.default_rng(42)
-        for _ in range(300):
+        for k in range(600):
             n_pts = int(rng.integers(3, 12))
-            pts = rng.uniform([-8, -4], [4, 4], size=(n_pts, 2))
+            if k % 2:
+                pts = near_boundary_polyline(rng, n_pts)
+            else:
+                pts = rng.uniform([-8, -4], [4, 4], size=(n_pts, 2))
             found = chord_crossings(pts[:-1], pts[1:], RECT)
             inside = 1 if RECT.contains(pts[0]) else 0
             for i, p1 in enumerate(pts[1:]):
@@ -200,6 +208,42 @@ class TestDetectCrossings:
             else:
                 assert abs(y - seg.coord) < 1e-9
                 assert seg.t_lo - 1e-9 <= x <= seg.t_hi + 1e-9
+
+
+_GRID = 2.0**-20  # polyline vertices are odd multiples of it, so never on a side line
+
+
+def _on_grid(p):
+    """Each coordinate of p moved by less than 2 * _GRID to an odd multiple of _GRID."""
+    return (2.0 * np.floor(np.asarray(p) / (2 * _GRID)) + 1.0) * _GRID
+
+
+def near_boundary_polyline(rng, n_pts):
+    """A polyline close to RECT's sides and corners, with no vertex on a side line.
+
+    A vertex lies within 1 m of a corner or of a point along a side.  About
+    a third of the chords instead run from the previous vertex through its
+    nearest corner to 1 or 3 times as far beyond it.  With coordinates on
+    a binary grid those chords meet the corner exactly: a corner hit or a
+    diagonal graze, depending on the side of the corner they come from.
+    """
+    sides = segments(RECT)
+    corners = np.array(
+        [(x, y) for x in (RECT.x_front, RECT.x_rear) for y in (RECT.y_left, RECT.y_right)]
+    )
+    pts = []
+    for _ in range(n_pts):
+        if pts and rng.random() < 1 / 3:
+            c = corners[np.argmin(np.hypot(*(corners - pts[-1]).T))]
+            pts.append(c - rng.choice([1.0, 3.0]) * (pts[-1] - c))  # exact: odd multiples stay odd
+            continue
+        if rng.random() < 0.5:
+            anchor = corners[rng.integers(len(corners))]
+        else:
+            side = sides[rng.integers(len(sides))]
+            anchor = np.array(side.point_at(rng.uniform(side.t_lo, side.t_hi)))
+        pts.append(_on_grid(anchor + rng.uniform(-1.0, 1.0, 2)))
+    return np.array(pts)
 
 
 def reference_crossings(p0, p1, rect):

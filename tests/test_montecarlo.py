@@ -1,6 +1,7 @@
 """Monte-Carlo oracle: sampling, trajectory simulation, campaigns, TTC draws."""
 import dataclasses
 import math
+import multiprocessing
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -23,7 +24,7 @@ from crossrate import (
     ttc_monte_carlo,
 )
 from crossrate import montecarlo
-from crossrate.errors import ConfigError
+from crossrate.errors import ConfigError, NumericsError
 from crossrate.geometry import SEGMENT_ORDER
 from crossrate.montecarlo import (
     _by_row,
@@ -349,6 +350,75 @@ class TestCountPathMatchesEventPath:
     def test_weaving_target_reenters(self):
         cfg = preset_config("front", n_traj=48, seed=31, **WEAVING)
         assert max(run_campaign(cfg).entry_stats["multiplicity_counts"]) >= 2
+
+
+class TestWorkerProcesses:
+    """run_campaign runs its batches in worker processes that end with it."""
+
+    @staticmethod
+    def two_batches():
+        """A campaign of two one-trajectory batches (patch _BATCH_SIZE to 1)."""
+        return preset_config("front", n_traj=2, horizon=0.5, seed=3)
+
+    @staticmethod
+    def recording_executor(started):
+        """A ProcessPoolExecutor that records, per pool, its max_workers and the
+        most child processes alive after any submit."""
+
+        class Recording(montecarlo.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                super().__init__(max_workers, **kwargs)
+                started.append([max_workers, 0])
+
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                started[-1][1] = max(started[-1][1], len(multiprocessing.active_children()))
+                return future
+
+        return Recording
+
+    def test_no_process_left_behind(self):
+        cfg = self.two_batches()
+        with mock.patch.object(montecarlo, "_BATCH_SIZE", 1):
+            result = run_campaign(cfg, threads=2)
+        assert multiprocessing.active_children() == []
+        assert_same_campaign(result, run_campaign(cfg))
+        assert 1 <= len(result.worker_peak_rss_mb) <= 2
+        assert all(rss > 0.0 for rss in result.worker_peak_rss_mb)
+
+    def test_worker_error_reaches_caller_and_no_process_is_left(self):
+        def failing(*args):
+            raise NumericsError("raised in a worker")
+
+        with mock.patch.object(montecarlo, "_BATCH_SIZE", 1), mock.patch.object(
+            montecarlo, "_stream_crossings", failing  # fork carries the patch into the workers
+        ):
+            with pytest.raises(NumericsError, match="raised in a worker") as caught:
+                run_campaign(self.two_batches(), threads=2)
+        assert type(caught.value) is NumericsError
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_one_worker_per_batch(self):
+        started = []
+        with mock.patch.object(montecarlo, "_BATCH_SIZE", 1), mock.patch.object(
+            montecarlo, "ProcessPoolExecutor", self.recording_executor(started)
+        ):
+            run_campaign(self.two_batches(), threads=8)
+        assert len(started) == 1
+        max_workers, alive = started[0]
+        assert max_workers == 2
+        assert 1 <= alive <= 2
+
+    def test_one_worker_runs_in_the_calling_process(self):
+        started = []
+        with mock.patch.object(
+            montecarlo, "ProcessPoolExecutor", self.recording_executor(started)
+        ):
+            one_batch = run_campaign(self.two_batches(), threads=8)
+            with mock.patch.object(montecarlo, "_BATCH_SIZE", 1):
+                one_thread = run_campaign(self.two_batches(), threads=1)
+        assert started == []
+        assert one_batch.worker_peak_rss_mb == one_thread.worker_peak_rss_mb == ()
 
 
 def traced_peak(fn, *args, **kwargs):
