@@ -7,7 +7,6 @@ simulator as built-in ground truth.
 """
 from .errors import (
     ConfigError,
-    ConvergenceError,
     CrossrateError,
     DomainError,
     NumericsError,

@@ -4,12 +4,11 @@ Each `cmd_*` writes its data files and returns the config it ran, its
 output paths and any extra manifest fields; `main` alone then writes
 `manifest.json` next to the data files, recording the fully resolved
 configuration, seed, tool version, output paths, and wall-clock duration
-(campaigns add their worker count and peak memory), so any output can be
-reproduced from its manifest alone.  Intensity
-curves come from `probability.intensity_curve`, `intensity_evaluator` and
-`compare_curves`.
-All CSV numbers use locale-independent formatting with 9 significant
-digits.
+(campaigns add their worker count and peak memory, intensity curves their
+warning or null), so any output can be reproduced from its manifest alone.
+Intensity curves come from `probability.intensity_curve`,
+`intensity_evaluator` and `compare_curves`.  All CSV numbers use
+locale-independent formatting with 9 significant digits.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 I/O.
 """
@@ -19,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -71,24 +69,8 @@ def _resolve_config(args) -> ScenarioConfig:
         config = preset_config(args.preset)
     else:
         raise ConfigError("either --config or --preset is required", "config")
-    overrides = {}
-    if getattr(args, "n_traj", None) is not None:
-        overrides["n_traj"] = args.n_traj
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get("CROSSRATE_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"CROSSRATE_SEED must be an integer, got {env!r}", "CROSSRATE_SEED"
-                ) from None
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    overrides = {k: v for k in ("n_traj", "seed") if (v := getattr(args, k, None)) is not None}
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _output(args, name: str) -> Path:
@@ -165,7 +147,7 @@ def cmd_intensity(args, config):
         ([*row, args.method] for row in _curve_rows(curve)),
     )
     extra = {"evaluations_used": curve.evaluations} if args.adaptive else {}
-    return config, {"intensity": str(curve_path)}, extra
+    return config, {"intensity": str(curve_path)}, {**extra, "warning": curve.warning}
 
 
 def cmd_probability(args, config):
@@ -200,7 +182,7 @@ def cmd_probability(args, config):
             "evaluations_used": bound.evaluations_used,
         },
     )
-    return config, {"probability": str(bound_path)}, {}
+    return config, {"probability": str(bound_path)}, {"warning": curve.warning}
 
 
 def cmd_ttc(args, config):
@@ -284,9 +266,7 @@ def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
         "--preset", choices=sorted(PRESETS), help="built-in named scenario"
     )
     p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    p.add_argument(
-        "--seed", type=int, help="campaign seed (falls back to CROSSRATE_SEED)"
-    )
+    p.add_argument("--seed", type=int, help="campaign seed (default: the scenario's)")
     if threads:
         p.add_argument("--threads", type=_positive_int, default=1, help="worker processes")
     if n_traj:

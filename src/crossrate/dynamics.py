@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericsError
+from .errors import DomainError, NumericsError
 from .gaussian import GaussianDensity, _NotPSDError, symmetrize
 
 STATE_DIM = 6
@@ -21,6 +21,10 @@ STATE_DIM = 6
 # Minimum speed for which the velocity-derived orientation is defined;
 # below typical sensor noise floors.
 EPS_SPEED = 1e-3
+
+# Riccati iteration budget and fixed-point tolerance (max |P_new - P|)
+_RICCATI_MAX_ITER = 10000
+_RICCATI_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -254,18 +258,13 @@ def measurement_jacobian(s: StateVector) -> np.ndarray:
     return h
 
 
-def steady_state_covariance(
-    mean: StateVector,
-    model: MotionModel,
-    noise: RadarNoise,
-    max_iter: int = 10000,
-    tol: float = 1e-9,
-) -> np.ndarray:
+def steady_state_covariance(mean: StateVector, model: MotionModel, noise: RadarNoise) -> np.ndarray:
     """Posterior steady-state covariance of the radar filter at `mean`.
 
     Iterates the discrete Riccati recursion (predict with the jerk-model
     transition and process noise over one radar cycle, update with the
-    measurement Jacobian held fixed at `mean`) to a fixed point.
+    measurement Jacobian held fixed at `mean`) to a fixed point; raises
+    NumericsError when it does not get there in _RICCATI_MAX_ITER steps.
     """
     dt = noise.cycle_time
     phi = transition_matrix(dt)
@@ -274,17 +273,17 @@ def steady_state_covariance(
     r = noise.cov()
     eye = np.eye(STATE_DIM)
     p = q.copy() + eye
-    for _ in range(max_iter):
+    for _ in range(_RICCATI_MAX_ITER):
         p_prior = symmetrize(phi @ p @ phi.T + q)
         s = h @ p_prior @ h.T + r
         k = np.linalg.solve(s.T, (p_prior @ h.T).T).T
         ikh = eye - k @ h
         p_new = symmetrize(ikh @ p_prior @ ikh.T + k @ r @ k.T)
-        if np.max(np.abs(p_new - p)) < tol:
+        if np.max(np.abs(p_new - p)) < _RICCATI_TOL:
             return p_new
         p = p_new
-    raise ConvergenceError(
-        f"Riccati iteration did not converge within {max_iter} iterations"
+    raise NumericsError(
+        f"Riccati iteration did not converge within {_RICCATI_MAX_ITER} iterations"
     )
 
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The CLI exits 2 on a ConfigError or DomainError and 3 on a NumericsError.
+"""
 
 
 class CrossrateError(Exception):
@@ -15,10 +18,6 @@ class ConfigError(CrossrateError):
 
 class NumericsError(CrossrateError):
     """A numerical procedure failed (singular matrix, lost PSD, Riccati non-convergence)."""
-
-
-class ConvergenceError(NumericsError):
-    """An iterative procedure did not reach its tolerance in the budget."""
 
 
 class DomainError(CrossrateError, ValueError):

@@ -11,7 +11,7 @@ from its eigenvalues and solves with one Cholesky factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -22,6 +22,8 @@ from .errors import DomainError, NumericsError
 _SYM_RTOL = 1e-12
 _PSD_RTOL = 1e-10
 _COND_LIMIT = 1e12
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -54,12 +56,16 @@ class _NotPSDError(ValueError):
 
 @dataclass(frozen=True)
 class GaussianDensity:
-    """Mean vector and covariance matrix of an N-dimensional Gaussian."""
+    """Mean vector and covariance matrix of an N-dimensional Gaussian.
+
+    `_psd_slack` (not stored) widens the PSD check by a known rounding bound.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    _psd_slack: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, _psd_slack):
         mean = np.array(self.mean, dtype=float).reshape(-1)
         cov = np.asarray(self.cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -73,7 +79,7 @@ class GaussianDensity:
             raise ValueError("covariance is not symmetric")
         cov = symmetrize(cov)
         min_eig = _eigvalsh(cov)[0]
-        if min_eig < -_PSD_RTOL * max(sum(cov.diagonal().tolist()), 1.0):
+        if min_eig < -_PSD_RTOL * max(sum(cov.diagonal().tolist()), 1.0) - _psd_slack:
             raise _NotPSDError(min_eig)
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -120,7 +126,8 @@ def condition(g: GaussianDensity, given, values) -> GaussianDensity:
     blocks = g.cov.take(idx, 0).take(idx, 1)
     sig_mm = blocks[k:, k:]
     moduli = [abs(w) for w in _eigvalsh(sig_mm).tolist()]  # its singular values
-    cond = max(moduli) / min(moduli) if min(moduli) > 0.0 else math.inf
+    # a subnormal singular value has lost its relative precision: singular
+    cond = max(moduli) / min(moduli) if min(moduli) >= _TINY else math.inf
     if cond > _COND_LIMIT:
         raise NumericsError(
             f"conditioning block is ill-conditioned (cond {cond:.3e} > {_COND_LIMIT:.0e})"
@@ -132,7 +139,14 @@ def condition(g: GaussianDensity, given, values) -> GaussianDensity:
     x, _ = lapack.dpotrs(factor, rhs, lower=1)
     sig_rm = blocks[:k, k:]
     mean = g.mean.take(rest) + sig_rm @ x[:, 0]
-    return GaussianDensity(mean, blocks[:k, :k] - sig_rm @ x[:, 1:])
+    # Rounding bound of S = A - B M^-1 B^T (A = blocks[:k, :k], B = sig_rm,
+    # M = sig_mm, n = g.dim).  The Cholesky solve is exact for some M + dM,
+    # |dM| = O(n^2 eps |M|) (Higham, Accuracy and Stability, Thm 10.4), which
+    # moves S by B M^-1 dM M^-1 B^T; B M^-1 B^T <= A gives |B M^-1|^2 <=
+    # |A| / lambda_min(M), so |dS| <~ n^2 eps cond(M) tr A.  The PSD check
+    # allows that much; the asymmetry, of that order, is averaged out here.
+    slack = g.dim**2 * _EPS * cond * sum(blocks[:k, :k].diagonal().tolist())
+    return GaussianDensity(mean, symmetrize(blocks[:k, :k] - sig_rm @ x[:, 1:]), slack)
 
 
 def normal_cdf(z: float) -> float:

@@ -1,10 +1,11 @@
-"""Host-vehicle rectangle geometry.
+"""Host-vehicle rectangle geometry and the one home of the crossing rules.
 
 Four oriented boundary segments with inward normals, the rigid rotation
-that maps any segment onto the front-boundary configuration, and the one
-crossing detector, chord_crossings: it checks arrays of chords against
-all four sides at once, and the Monte-Carlo oracle runs it on every step
-of every trajectory.
+that maps any segment onto the front-boundary configuration, and the
+crossing rules: chord_crossings checks arrays of chords against all four
+sides at once (the Monte-Carlo oracle runs it on every step of every
+trajectory), line_roots finds where constant-acceleration paths meet a
+side's line, and first_path_entry keeps the earliest root that enters.
 """
 from __future__ import annotations
 
@@ -185,3 +186,46 @@ def chord_crossings(p0, p1, rect: HostRectangle) -> ChordCrossings:
     drop[:-1] |= corner & (found.entry[1:] != found.entry[:-1])
     return found.select(~drop)
 
+
+def quadratic_roots(a, b, c) -> np.ndarray:
+    """Real roots of a t^2 + b t + c = 0, elementwise, as (..., 2), NaN if none.
+
+    |a| < 1e-15 is solved as linear, with its one root in the first column.
+    """
+    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
+    out = np.full(a.shape + (2,), np.nan)
+    lin = np.abs(a) < 1e-15
+    solvable = lin & (b != 0.0)
+    out[solvable, 0] = -c[solvable] / b[solvable]
+    disc = b * b - 4.0 * a * c
+    quad = ~lin & (disc >= 0.0)
+    sq = np.sqrt(disc[quad])
+    out[quad, 0] = (-b[quad] - sq) / (2.0 * a[quad])
+    out[quad, 1] = (-b[quad] + sq) / (2.0 * a[quad])
+    return out
+
+
+def line_roots(states: np.ndarray, seg: BoundarySegment) -> np.ndarray:
+    """Times (n, 2), NaN if none, at which the paths of states (n, 6) meet seg's line."""
+    a = 0 if seg.axis == "x" else 1
+    return quadratic_roots(
+        0.5 * states[:, 4 + a], states[:, 2 + a], states[:, a] - seg.coord
+    )
+
+
+def first_path_entry(states: np.ndarray, seg: BoundarySegment, horizon: float) -> np.ndarray:
+    """Earliest entry time in (0, horizon] through seg of each path, inf if none.
+
+    Row j of `states` (n, 6) starts a constant-acceleration path.  A root
+    is an entry under the rule of chord_crossings: in the side's closed
+    span, velocity along the inward normal > 0, so a tangent touch is not.
+    """
+    t = line_roots(states, seg)
+    t[~((t > 0.0) & (t <= horizon))] = np.nan  # roots in (0, horizon] only
+    s = states[:, np.newaxis]  # (n, 1, 6): broadcasts against both roots
+    tt = t[..., np.newaxis]
+    pos = s[..., :2] + s[..., 2:4] * tt + 0.5 * s[..., 4:] * tt * tt
+    along = pos[..., 1 if seg.axis == "x" else 0]
+    inward = (s[..., 2:4] + s[..., 4:] * tt) @ seg.normal
+    entry = (seg.t_lo <= along) & (along <= seg.t_hi) & (inward > 0.0)
+    return np.where(entry, t, np.inf).min(axis=1)

@@ -60,11 +60,8 @@ class RateSample:
     t: float
     mu_plus: float
     per_segment: dict[str, float]
-    method: str
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         total = sum(self.per_segment.values())
         if not math.isclose(self.mu_plus, total, rel_tol=1e-9, abs_tol=1e-15):
             raise ValueError("mu_plus does not equal the per-segment sum")
@@ -244,4 +241,4 @@ def total_intensity(
         raise ValueError(f"expected a 6-dim predicted density, got {g6.dim}")
     g4 = marginalize(g6, (0, 1, 2, 3))
     per = {seg.name: segment_intensity(g4, seg, method) for seg in segments(rect)}
-    return RateSample(t=t, mu_plus=sum(per.values()), per_segment=per, method=method)
+    return RateSample(t=t, mu_plus=sum(per.values()), per_segment=per)

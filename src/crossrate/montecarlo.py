@@ -4,15 +4,17 @@ Trajectories are sampled from the initial-state Gaussian and propagated
 with the exact discrete-time dynamics plus exact process-noise
 increments.  Both studies, run_campaign and ttc_monte_carlo, stream the
 same id batches, reduce each to integer counts and bin a time t at
-floor(t / bin_width).  run_campaign runs its batches in forked worker
-processes, at most one per batch, and merges their counts strictly in
-batch order; one worker runs them in the calling process.  Linux is the
-supported platform: fork is safe there and ru_maxrss is in KiB.  At most
-two batches per worker are in flight, so memory is bounded whatever the
+floor(t / bin_width).  Their crossing rules are geometry's; this module
+imports nothing of the analytic layers (intensity, probability) that it
+checks.  run_campaign runs its batches in forked worker processes, at
+most one per batch, and merges their counts strictly in batch order; one
+worker runs them in the calling process.  Linux is the supported
+platform: fork is safe there and ru_maxrss is in KiB.  At most two
+batches per worker are in flight, so memory is bounded whatever the
 trajectory count.  A campaign batch goes through the horizon a chunk of
 steps at a time, noise drawn into reused buffers and the chunk's chords
-sent through geometry.chord_crossings (the one crossing detector) in one
-call, so memory does not grow with the horizon either.
+sent through geometry.chord_crossings in one call, so memory does not
+grow with the horizon either.
 
 Per-trajectory noise comes from counter-based Philox streams keyed by
 (campaign seed, trajectory id), so results are bit-identical regardless
@@ -34,8 +36,7 @@ import numpy as np
 from .dynamics import input_increment, process_noise_cov, transition_matrix
 from .errors import ConfigError
 from .gaussian import psd_factor
-from .geometry import SEGMENT_ORDER, ChordCrossings, chord_crossings, segments
-from .probability import _line_roots
+from .geometry import SEGMENT_ORDER, ChordCrossings, chord_crossings, first_path_entry, segments
 from .scenarios import ScenarioConfig
 
 _BATCH_SIZE = 4096  # fixed by the algorithm, not by the worker count
@@ -339,13 +340,10 @@ def ttc_monte_carlo(config: ScenarioConfig) -> dict:
     """Initial-condition TTC histograms for the front and right sides.
 
     Only the initial state is random: each draw follows its
-    constant-acceleration path, which meets a side's line at the roots of
-    one quadratic.  A root in (0, horizon] is an entry when the path is in
-    the side's closed span there and its velocity along the inward normal
-    is > 0, the rule chord_crossings applies to a chord; a tangent touch
-    (double root, zero normal velocity) is not one.  Each side bins the
-    earliest entry of each draw on its own, with no corner rule.  Draws
-    are made and reduced to counts in the campaign's batches.
+    constant-acceleration path, and geometry.first_path_entry gives its
+    earliest entry through each side in (0, horizon].  Each side bins
+    those times on its own, with no corner rule.  Draws are made and
+    reduced to counts in the campaign's batches.
     """
     if config.model.input_enabled:
         raise ConfigError(
@@ -356,16 +354,8 @@ def ttc_monte_carlo(config: ScenarioConfig) -> dict:
     counts = np.zeros((len(sides), config.n_bins), dtype=np.int64)
     for ids in _batches(n):
         states = _initial_states(config, (_traj_rng(config.seed, i) for i in ids))
-        s = states[:, np.newaxis]  # (b, 1, 6): broadcasts against both roots
         for seg, seg_counts in zip(sides, counts):
-            t = _line_roots(states, seg)
-            t[~((t > 0.0) & (t <= config.horizon))] = np.nan  # roots in (0, horizon] only
-            tt = t[..., np.newaxis]
-            pos = s[..., :2] + s[..., 2:4] * tt + 0.5 * s[..., 4:] * tt * tt
-            along = pos[..., 1 if seg.axis == "x" else 0]
-            inward = (s[..., 2:4] + s[..., 4:] * tt) @ seg.normal
-            entry = (seg.t_lo <= along) & (along <= seg.t_hi) & (inward > 0.0)
-            first = np.where(entry, t, np.inf).min(axis=1)
+            first = first_path_entry(states, seg, config.horizon)
             seg_counts += np.bincount(
                 _bins(first[np.isfinite(first)], config), minlength=config.n_bins
             )

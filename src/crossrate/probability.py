@@ -6,9 +6,10 @@ scenario's predicted density, `intensity_curve` samples it on a given
 time grid, and `compare_curves` samples every method and the spatial
 overlap on one predicted density per time.  Also temporal integration of
 the entry intensity (expected number of entries, an upper bound on the
-collision probability), deterministic TTC seeds, the adaptive curve
-sampler, and the spatial-overlap comparator, a rectangle probability of
-the positional marginal in closed form (four bivariate normal CDFs).
+collision probability), deterministic TTC seeds (the mean's roots from
+`geometry.line_roots`), the adaptive curve sampler, and the
+spatial-overlap comparator, a rectangle probability of the positional
+marginal in closed form (four bivariate normal CDFs).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .dynamics import StateVector
 from .errors import NumericsError
 from .gaussian import GaussianDensity, bivariate_normal_cdf
-from .geometry import BoundarySegment, HostRectangle, segments
+from .geometry import HostRectangle, line_roots, segments
 from .intensity import METHODS, RateSample, total_intensity
 
 if TYPE_CHECKING:
@@ -148,32 +149,6 @@ def integrate_intensity(curve: RateCurve, t1: float, t2: float) -> ProbabilityBo
     return ProbabilityBound(t1, t2, max(p, 0.0), curve.evaluations)
 
 
-def quadratic_roots(a, b, c) -> np.ndarray:
-    """Real roots of a t^2 + b t + c = 0, elementwise, as (..., 2), NaN if none.
-
-    |a| < 1e-15 is solved as linear, with its one root in the first column.
-    """
-    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
-    out = np.full(a.shape + (2,), np.nan)
-    lin = np.abs(a) < 1e-15
-    solvable = lin & (b != 0.0)
-    out[solvable, 0] = -c[solvable] / b[solvable]
-    disc = b * b - 4.0 * a * c
-    quad = ~lin & (disc >= 0.0)
-    sq = np.sqrt(disc[quad])
-    out[quad, 0] = (-b[quad] - sq) / (2.0 * a[quad])
-    out[quad, 1] = (-b[quad] + sq) / (2.0 * a[quad])
-    return out
-
-
-def _line_roots(states: np.ndarray, seg: BoundarySegment) -> np.ndarray:
-    """Times (n, 2), NaN if none, at which the paths of states (n, 6) meet seg's line."""
-    a = 0 if seg.axis == "x" else 1
-    return quadratic_roots(
-        0.5 * states[:, 4 + a], states[:, 2 + a], states[:, a] - seg.coord
-    )
-
-
 def deterministic_ttc_seeds(
     mean: StateVector, rect: HostRectangle
 ) -> list[tuple[str, float]]:
@@ -181,12 +156,13 @@ def deterministic_ttc_seeds(
 
     All real positive roots on the front, right and left lines (not the
     rear), sorted by time.  They are line roots, not entries: neither the
-    span nor the entry rule of ttc_monte_carlo applies, so an exit or a
-    tangent touch seeds too.  These seed the adaptive sampler only.
+    span nor the entry rule of geometry.first_path_entry applies, so an
+    exit or a tangent touch seeds too.  These seed the adaptive sampler
+    only.
     """
     state = mean.as_array()[np.newaxis]
     sides = [seg for seg in segments(rect) if seg.name != "rear"]
-    seeds = [(seg.name, float(t)) for seg in sides for t in _line_roots(state, seg)[0] if t > 0]
+    seeds = [(seg.name, float(t)) for seg in sides for t in line_roots(state, seg)[0] if t > 0]
     return sorted(seeds, key=lambda st: st[1])
 
 

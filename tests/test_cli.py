@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crossrate.dynamics as dynamics
 import crossrate.montecarlo as montecarlo
 import crossrate.scenarios as scenarios
 from crossrate.cli import main
@@ -99,23 +100,6 @@ class TestSimulate:
         assert code == 2
         assert "n_traj" in capsys.readouterr().err
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CROSSRATE_SEED", "321")
-        out = tmp_path / "s"
-        main(["simulate", *FRONT_SMALL, "--out-dir", str(out)])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 321
-
-    def test_seed_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CROSSRATE_SEED", "321")
-        out = tmp_path / "s"
-        main(["simulate", *FRONT_SMALL, "--seed", "11", "--out-dir", str(out)])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 11
-
-    def test_bad_env_seed_exit_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CROSSRATE_SEED", "not-a-number")
-        assert main(["simulate", *FRONT_SMALL, "--out-dir", str(tmp_path)]) == 2
 
 
 class TestIntensity:
@@ -190,6 +174,27 @@ class TestIntensity:
             vals[method] = np.array([float(r["mu_total"]) for r in rows])
         peak = vals["quadrature"].max()
         assert np.abs(vals["taylor0"] - vals["quadrature"]).max() < 0.10 * peak
+
+
+class TestCurveWarning:
+    # receding along x with no lateral motion: no seeds, and zero intensity
+    NO_SEEDS = (
+        "preset: front\n"
+        "scenario:\n  initial_mean: [200, 0, 10, 0, 0, 0]\n"
+        "model:\n  input: {enabled: false}\n"
+    )
+
+    @pytest.mark.parametrize("method", ["taylor0", "quadrature"])
+    @pytest.mark.parametrize("command", [["intensity"], ["probability", "--t2", "6"]])
+    def test_adaptive_warning_in_manifest(self, tmp_path, command, method):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(self.NO_SEEDS)
+        argv = [*command, "--adaptive", "--method", method]
+        assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "w")]) == 0
+        manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
+        assert manifest["warning"] == "no seeds and zero intensity on fallback grid"
+        assert main([*argv, "--preset", "front", "--out-dir", str(tmp_path / "n")]) == 0
+        assert json.loads((tmp_path / "n" / "manifest.json").read_text())["warning"] is None
 
 
 class TestProbability:
@@ -464,6 +469,12 @@ class TestErrorPaths:
         assert "numerical failure: raised in a worker" in capsys.readouterr().err
         assert not (tmp_path / "histogram.csv").exists()
 
+    def test_riccati_non_convergence_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(dynamics, "_RICCATI_MAX_ITER", 1)
+        assert main(["intensity", "--preset", "front", "--out-dir", str(tmp_path)]) == 3
+        assert "numerical failure: Riccati iteration did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "intensity.csv").exists()
+
     AT_ORIGIN = "scenario:\n  initial_mean: [0, 0, -2, 0, 0, 0]"  # zero radar range
     STATIONARY = "scenario:\n  initial_mean: [10, 0, 0, 0, 0, 0]\nmodel:\n  input: {enabled: false}"
 
@@ -583,11 +594,9 @@ class TestInvalidInputExit2:
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-    def test_seed_out_of_range(self, tmp_path, monkeypatch, seed):
+    def test_seed_out_of_range(self, tmp_path, seed):
         argv = ["simulate", "--preset", "front", "--n-traj", "16", "--out-dir", str(tmp_path)]
         assert main([*argv, "--seed", seed]) == 2
-        monkeypatch.setenv("CROSSRATE_SEED", seed)
-        assert main(argv) == 2
 
     def test_largest_seed_runs(self, tmp_path):
         argv = ["simulate", "--preset", "front", "--n-traj", "16", "--out-dir", str(tmp_path)]

@@ -267,6 +267,11 @@ class TestSteadyStateCovariance:
         p_sharp = steady_state_covariance(self.MEAN, INPUT_MODEL, sharp)
         assert np.trace(p_sharp) < np.trace(p)
 
+    def test_non_convergence_raises_numerics_error(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_RICCATI_MAX_ITER", 1)
+        with pytest.raises(NumericsError, match="did not converge within 1 iterations"):
+            steady_state_covariance(self.MEAN, INPUT_MODEL, self.NOISE)
+
 
 class TestSalientTransform:
     def test_zero_offset_identity(self):

@@ -10,7 +10,7 @@ from crossrate import (
     segments,
     to_segment_frame,
 )
-from crossrate.geometry import SEGMENT_ORDER
+from crossrate.geometry import SEGMENT_ORDER, first_path_entry
 
 RECT = HostRectangle(0.0, -5.0, -1.0, 1.0)
 
@@ -303,6 +303,27 @@ class TestChordCrossings:
         ]
         assert got == want
         assert len(want) > 500
+
+
+class TestFirstPathEntry:
+    FRONT = segments(RECT)[0]
+
+    def test_rule_per_path(self):
+        states = np.array([
+            [10.0, 0.0, -2.0, 0.0, 0.0, 0.0],  # enters at t = 5
+            [10.0, 1.0, -2.0, 0.0, 0.0, 0.0],  # at the span's end: enters at t = 5
+            [10.0, 1.5, -2.0, 0.0, 0.0, 0.0],  # meets the line outside the span
+            [-1.0, 0.0, 2.0, 0.0, 0.0, 0.0],  # exits at t = 0.5
+            [1.0, 0.0, -2.0, 0.0, 2.0, 0.0],  # (t - 1)^2: a tangent touch at t = 1
+            [-1.0, 0.0, 2.0, 0.0, -1.0, 0.0],  # exits at 2 - sqrt 2, enters at 2 + sqrt 2
+        ])
+        got = first_path_entry(states, self.FRONT, 8.0)
+        np.testing.assert_allclose(got, [5.0, 5.0, np.inf, np.inf, np.inf, 2.0 + np.sqrt(2.0)])
+
+    def test_entries_after_the_horizon_dropped(self):
+        states = np.array([[10.0, 0.0, -2.0, 0.0, 0.0, 0.0]])
+        assert first_path_entry(states, self.FRONT, 5.0).tolist() == [5.0]
+        assert first_path_entry(states, self.FRONT, 4.99).tolist() == [np.inf]
 
 
 class TestBoundarySegmentValidation:

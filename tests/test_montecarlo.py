@@ -1,9 +1,11 @@
 """Monte-Carlo oracle: sampling, trajectory simulation, campaigns, TTC draws."""
+import ast
 import dataclasses
 import math
 import multiprocessing
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -575,3 +577,36 @@ class TestTtcMonteCarlo:
         first = run_campaign(cfg).histogram.first_entry_counts
         for side in ("front", "right"):
             np.testing.assert_array_equal(ttc[f"{side}_counts"], first[side])
+
+
+def package_imports(module: str) -> set[str]:
+    """The crossrate modules that `module` imports, directly or through others.
+
+    Read from the source with ast, so nothing is imported; an import under
+    `if TYPE_CHECKING:` counts too, and `from . import name` of a name that
+    is not a module imports the package's `__init__`.
+    """
+    src = Path(montecarlo.__file__).parent
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                todo += [n if (src / f"{n}.py").exists() else "__init__" for n in names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("crossrate."):
+                todo.append(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                todo += [a.name.split(".")[1] for a in node.names if a.name.startswith("crossrate.")]
+    return seen - {module}
+
+
+def test_oracle_does_not_import_the_analytic_layers():
+    """The Monte-Carlo oracle checks the intensity layers and must not load them."""
+    reached = package_imports("montecarlo")
+    assert {"geometry", "scenarios", "dynamics", "gaussian"} <= reached
+    assert not reached & {"probability", "intensity"}
+    assert "intensity" in package_imports("probability")  # the walk sees such imports

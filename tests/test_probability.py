@@ -25,13 +25,14 @@ from crossrate import (
     total_intensity,
 )
 from crossrate.intensity import METHODS, RateSample
-from crossrate.probability import RateCurve, quadratic_roots
+from crossrate.geometry import quadratic_roots
+from crossrate.probability import RateCurve
 
 RECT = HostRectangle(0.0, -5.0, -1.0, 1.0)
 
 
 def sample(t, value):
-    return RateSample(t, value, {"front": value}, "quadrature")
+    return RateSample(t, value, {"front": value})
 
 
 def curve_from(times, values, t_start=None, t_end=None):
