@@ -29,7 +29,7 @@ def main():
     idx = int(round(6.0 / hist.bin_width)) - 1
     print(f"MC first-entry probability [0, 6 s]: "
           f"{hist.integrated_probability()[idx]:.4f} "
-          f"({res.n_traj} trajectories)")
+          f"({hist.n_traj} trajectories)")
     print(f"MC P(at least one entry) over [0, 8 s]: "
           f"{res.entry_stats['p_at_least_one']:.4f}")
     print("first-entry boundary split:",

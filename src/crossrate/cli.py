@@ -63,12 +63,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _resolve_config(args) -> ScenarioConfig:
-    if args.config is not None:
-        config = load_config(args.config)
-    elif args.preset is not None:
-        config = preset_config(args.preset)
-    else:
-        raise ConfigError("either --config or --preset is required", "config")
+    if (args.config is None) == (args.preset is None):
+        raise ConfigError("exactly one of --config and --preset is required", "config")
+    config = load_config(args.config) if args.config is not None else preset_config(args.preset)
     overrides = {k: v for k in ("n_traj", "seed") if (v := getattr(args, k, None)) is not None}
     return dataclasses.replace(config, **overrides) if overrides else config
 
@@ -96,14 +93,6 @@ def _curve(config: ScenarioConfig, args, horizon: float) -> RateCurve:
             (0.0, horizon),
         )
     return intensity_curve(config, _grid(horizon, args.dt), args.method)
-
-
-def _curve_rows(curve: RateCurve):
-    for s in curve.samples:
-        yield [s.t, s.mu_plus] + [s.per_segment.get(n, 0.0) for n in SEGMENT_ORDER]
-
-
-_CURVE_HEADER = ["t_s", "mu_total", "mu_front", "mu_right", "mu_left", "mu_rear"]
 
 
 def _campaign_fields(args, result: CampaignResult) -> dict:
@@ -138,14 +127,12 @@ def cmd_simulate(args, config):
 
 
 def cmd_intensity(args, config):
-    horizon = args.horizon if args.horizon is not None else config.horizon
-    curve = _curve(config, args, horizon)
+    curve = _curve(config, args, config.horizon)
+    columns = {"t_s": curve.times(), "mu_total": curve.values()}
+    columns.update((f"mu_{n}", curve.segment_values(n)) for n in SEGMENT_ORDER)
+    columns["method"] = [args.method] * curve.evaluations
     curve_path = _output(args, "intensity.csv")
-    _write_csv(
-        curve_path,
-        _CURVE_HEADER + ["method"],
-        ([*row, args.method] for row in _curve_rows(curve)),
-    )
+    _write_csv(curve_path, list(columns), zip(*columns.values()))
     extra = {"evaluations_used": curve.evaluations} if args.adaptive else {}
     return config, {"intensity": str(curve_path)}, {**extra, "warning": curve.warning}
 
@@ -179,7 +166,7 @@ def cmd_probability(args, config):
             "p_upper": bound.p_upper,
             "p_capped": bound.p_capped,
             "method": args.method,
-            "evaluations_used": bound.evaluations_used,
+            "evaluations_used": curve.evaluations,
         },
     )
     return config, {"probability": str(bound_path)}, {"warning": curve.warning}
@@ -274,7 +261,7 @@ def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
 
 
 def _positive(text: str) -> float:
-    """argparse type of a step, rate or horizon: a positive finite number."""
+    """argparse type of a step or rate: a positive finite number."""
     value = float(text)
     if not (value > 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
@@ -315,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intensity", help="entry-intensity curve")
     _add_common(p)
     _add_curve_flags(p)
-    p.add_argument("--horizon", type=_positive, help="override curve horizon, s")
     p.set_defaults(fn=cmd_intensity)
 
     p = sub.add_parser("probability", help="integrated collision-probability bound")

@@ -146,7 +146,10 @@ def condition(g: GaussianDensity, given, values) -> GaussianDensity:
     # |A| / lambda_min(M), so |dS| <~ n^2 eps cond(M) tr A.  The PSD check
     # allows that much; the asymmetry, of that order, is averaged out here.
     slack = g.dim**2 * _EPS * cond * sum(blocks[:k, :k].diagonal().tolist())
-    return GaussianDensity(mean, symmetrize(blocks[:k, :k] - sig_rm @ x[:, 1:]), slack)
+    try:
+        return GaussianDensity(mean, symmetrize(blocks[:k, :k] - sig_rm @ x[:, 1:]), slack)
+    except ValueError as exc:  # e.g. the solve overflowed on a tiny but normal block
+        raise NumericsError(f"conditional density is invalid: {exc}") from None
 
 
 def normal_cdf(z: float) -> float:

@@ -55,16 +55,14 @@ def _clamp(value: float) -> float:
 
 @dataclass(frozen=True)
 class RateSample:
-    """Total and per-segment entry intensity at one time."""
+    """Per-segment entry intensity at one time; the total is their sum."""
 
     t: float
-    mu_plus: float
     per_segment: dict[str, float]
 
-    def __post_init__(self):
-        total = sum(self.per_segment.values())
-        if not math.isclose(self.mu_plus, total, rel_tol=1e-9, abs_tol=1e-15):
-            raise ValueError("mu_plus does not equal the per-segment sum")
+    @property
+    def mu_plus(self) -> float:
+        return sum(self.per_segment.values())
 
 
 @dataclass(frozen=True)
@@ -241,4 +239,4 @@ def total_intensity(
         raise ValueError(f"expected a 6-dim predicted density, got {g6.dim}")
     g4 = marginalize(g6, (0, 1, 2, 3))
     per = {seg.name: segment_intensity(g4, seg, method) for seg in segments(rect)}
-    return RateSample(t=t, mu_plus=sum(per.values()), per_segment=per)
+    return RateSample(t, per)

@@ -81,7 +81,6 @@ class RateHistogram:
 class CampaignResult:
     histogram: RateHistogram
     entry_stats: dict
-    n_traj: int
     # peak RSS (MB) of each worker process, in the order of their first batch;
     # empty when the batches ran in the calling process
     worker_peak_rss_mb: tuple[float, ...] = ()
@@ -314,7 +313,6 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
     return CampaignResult(
         histogram=histogram,
         entry_stats=entry_stats,
-        n_traj=config.n_traj,
         worker_peak_rss_mb=tuple(peaks.values()),
     )
 
@@ -359,7 +357,7 @@ def ttc_monte_carlo(config: ScenarioConfig) -> dict:
             seg_counts += np.bincount(
                 _bins(first[np.isfinite(first)], config), minlength=config.n_bins
             )
-    result = {"bin_edges": _bin_edges(config), "n_traj": n}
+    result = {"bin_edges": _bin_edges(config)}
     for seg, seg_counts in zip(sides, counts):
         result[f"{seg.name}_counts"] = seg_counts
         result[f"{seg.name}_rate"] = seg_counts / (n * config.bin_width)

@@ -64,16 +64,13 @@ class RateCurve:
 
 @dataclass(frozen=True)
 class ProbabilityBound:
-    """Upper bound on the collision probability over [t1, t2].
+    """Upper bound on the collision probability over a time window.
 
     p_upper is the expected number of boundary entries; it may exceed 1
     and is reported raw (use min(p_upper, 1) for a probability).
     """
 
-    t1: float
-    t2: float
     p_upper: float
-    evaluations_used: int = 0
 
     def __post_init__(self):
         if self.p_upper < 0.0:
@@ -138,7 +135,7 @@ def integrate_intensity(curve: RateCurve, t1: float, t2: float) -> ProbabilityBo
             f"[{t1}, {t2}] not contained in sampled range [{times[0]}, {times[-1]}]"
         )
     if t1 == t2:
-        return ProbabilityBound(t1, t2, 0.0, curve.evaluations)
+        return ProbabilityBound(0.0)
     values = curve.values()
     inner = (times > t1) & (times < t2)
     grid = np.concatenate(([t1], times[inner], [t2]))
@@ -146,7 +143,7 @@ def integrate_intensity(curve: RateCurve, t1: float, t2: float) -> ProbabilityBo
         ([np.interp(t1, times, values)], values[inner], [np.interp(t2, times, values)])
     )
     p = float(np.trapezoid(vals, grid))
-    return ProbabilityBound(t1, t2, max(p, 0.0), curve.evaluations)
+    return ProbabilityBound(max(p, 0.0))
 
 
 def deterministic_ttc_seeds(

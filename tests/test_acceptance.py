@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
+from scipy.stats import chi2, norm
 
 from crossrate import (
     GaussianDensity,
@@ -113,7 +114,7 @@ def test_criterion_2_bound_saturation(campaigns, dense_curves):
         hist = res.histogram
         curve = dense_curves[name]["quadrature"]
         counts = hist.first_entry_counts["total"]
-        n = res.n_traj
+        n = hist.n_traj
         bw = hist.bin_width
         rate = hist.first_entry_rate("total")
         mu = np.interp(hist.bin_mid, curve.times(), curve.values())
@@ -147,6 +148,53 @@ def test_criterion_3_integrated_probability(campaigns, dense_curves):
     assert 0.55 <= bound.p_upper <= 0.75
     assert 0.55 <= mc <= 0.75
     assert mc <= bound.p_upper
+
+
+ORACLE_ALPHA = 1e-3  # family-wise level of each preset's per-bin z family and chi^2
+
+
+def test_criterion_2_all_entry_rate_equals_intensity(campaigns):
+    """Two-sided MC oracle: the expected entry count in a bin is the integral
+    of mu+ over it (Rice; Belyaev), so the all-entry histogram is unbiased
+    for mu+ in every bin, not only bounded by it.
+
+    Against mu+ bin-averaged on a 0.01 s grid, over the bins with >= 50
+    entries: every per-bin z (Poisson SE) within the Bonferroni bound and
+    the chi^2 of those z below its quantile, both at ORACLE_ALPHA; and the
+    mean entry count within 4 SE of the integral of mu+, its SE from the
+    per-trajectory multiplicities.
+    """
+    for name in PRESETS:
+        res = campaigns[name]
+        hist = res.histogram
+        n = hist.n_traj
+        cfg = preset_config(name)
+        fine = intensity_curve(cfg, np.arange(0.0, cfg.horizon + 1e-9, 0.01))
+        t, mu = fine.times(), fine.values()
+        integral = np.concatenate(([0.0], np.cumsum(np.diff(t) * 0.5 * (mu[1:] + mu[:-1]))))
+        expected = n * np.diff(np.interp(hist.bin_edges, t, integral))
+        counts = hist.all_entry_counts["total"]
+        mask = counts >= 50
+        z = (counts[mask] - expected[mask]) / np.sqrt(expected[mask])
+        z_limit = norm.isf(ORACLE_ALPHA / (2 * z.size))
+        chi2_limit = chi2.isf(ORACLE_ALPHA, z.size)
+
+        mult = res.entry_stats["multiplicity_counts"]
+        entries = sum(k * m for k, m in mult.items())
+        assert counts.sum() == entries  # the SE below is of the counted entries
+        mean_n = entries / n
+        se_n = math.sqrt((sum(k * k * m for k, m in mult.items()) / n - mean_n**2) / n)
+        print(
+            f"criterion 2 [{name}] two-sided: {z.size} bins, mean z {z.mean():.3f}, "
+            f"max|z| {np.abs(z).max():.2f} (target <= {z_limit:.2f}), "
+            f"chi2 {np.sum(z**2):.1f} (target <= {chi2_limit:.1f}); "
+            f"E[N+]_MC={mean_n:.5f}±{se_n:.5f} vs int mu+ = {integral[-1]:.5f} "
+            f"(target within 4 SE)"
+        )
+        assert z.size >= 40
+        assert np.abs(z).max() <= z_limit
+        assert np.sum(z**2) <= chi2_limit
+        assert abs(mean_n - integral[-1]) <= 4.0 * se_n
 
 
 def test_criterion_4_approximation_ordering(dense_curves):

@@ -514,6 +514,15 @@ class TestErrorPaths:
     def test_missing_config_and_preset_exit_2(self, tmp_path):
         assert main(["simulate", "--out-dir", str(tmp_path)]) == 2
 
+    def test_config_and_preset_exit_2(self, tmp_path, capsys):
+        """A run reads one config source: a file and a preset together are an error."""
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("preset: front-right\n")
+        argv = ["intensity", "--config", str(cfg), "--preset", "front", "--dt", "4"]
+        assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "exactly one of --config and --preset" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_out_dir_exit_4(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -534,7 +543,7 @@ class TestInvalidInputExit2:
             ["intensity", "--dt", "0"],
             ["intensity", "--dt=-0.05"],
             ["intensity", "--dt", "nan"],
-            ["intensity", "--horizon=-1", "--method", "taylor0"],
+            ["intensity", "--horizon", "2", "--method", "taylor0"],
             ["salient", "--dt", "0"],
             ["intensity", "--adaptive", "--rate-floor", "0"],
             ["intensity", "--adaptive", "--dt1", "0.2", "--dt2", "0.3"],

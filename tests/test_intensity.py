@@ -51,17 +51,13 @@ def factorized_density(mean_x, sd_x, mean_v, sd_v, mean_y=0.0, sd_y=1.0):
 
 
 class TestRateSample:
-    def test_sum_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            RateSample(0.0, 1.0, {"front": 0.3, "right": 0.3})
-
     def test_unknown_method_rejected(self):
         """A sample records no method; the method is checked where it is used."""
         with pytest.raises(ValueError, match="unknown method"):
             segment_intensity(factorized_density(5.0, 1.0, -2.0, 0.5), FRONT, method="simpson")
 
     def test_valid_sample(self):
-        s = RateSample(1.0, 0.6, {"front": 0.5, "right": 0.1})
+        s = RateSample(1.0, {"front": 0.5, "right": 0.1})
         assert s.mu_plus == pytest.approx(0.6)
 
 

@@ -32,7 +32,7 @@ RECT = HostRectangle(0.0, -5.0, -1.0, 1.0)
 
 
 def sample(t, value):
-    return RateSample(t, value, {"front": value})
+    return RateSample(t, {"front": value})
 
 
 def curve_from(times, values, t_start=None, t_end=None):
