@@ -21,9 +21,8 @@ def main():
         cfg = preset_config(name)
 
         seeds = deterministic_ttc_seeds(cfg.initial_mean, cfg.rect)
-        curve = adaptive_sample(
-            intensity_evaluator(cfg), seeds, 0.5, 0.2, 0.01, (0.0, cfg.horizon)
-        )
+        # the paper's steps, probability.COARSE_STEP, FINE_STEP and RATE_FLOOR
+        curve = adaptive_sample(intensity_evaluator(cfg), seeds, (0.0, cfg.horizon))
         lo, hi = curve.samples[0].t, curve.samples[-1].t
         p_adaptive = integrate_intensity(curve, lo, hi).p_upper
 

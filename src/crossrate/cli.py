@@ -7,8 +7,12 @@ configuration, seed, tool version, output paths, and wall-clock duration
 (campaigns add their worker count and peak memory, intensity curves their
 warning or null), so any output can be reproduced from its manifest alone.
 Intensity curves come from `probability.intensity_curve`,
-`intensity_evaluator` and `compare_curves`.  All CSV numbers use
-locale-independent formatting with 9 significant digits.
+`intensity_evaluator` and `compare_curves`; `--adaptive` runs
+`adaptive_sample` at the paper's steps, which are `probability`'s
+constants and no flags.  Only the campaigns (`simulate`, `ttc`,
+`compare`) draw random numbers, so only they take `--seed` and
+`--n-traj`.  All CSV numbers use locale-independent formatting with 9
+significant digits.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 I/O.
 """
@@ -31,6 +35,9 @@ from .geometry import SEGMENT_ORDER
 from .intensity import METHODS, total_intensity
 from .montecarlo import CampaignResult, peak_rss_mb, run_campaign, ttc_config, ttc_monte_carlo
 from .probability import (
+    COARSE_STEP,
+    FINE_STEP,
+    RATE_FLOOR,
     adaptive_sample,
     compare_curves,
     deterministic_ttc_seeds,
@@ -84,14 +91,7 @@ def _grid(horizon: float, dt: float) -> list[float]:
 def _curve(config: ScenarioConfig, args, horizon: float) -> RateCurve:
     if args.adaptive:
         seeds = deterministic_ttc_seeds(config.initial_mean, config.rect)
-        return adaptive_sample(
-            intensity_evaluator(config, args.method),
-            seeds,
-            args.dt1,
-            args.dt2,
-            args.rate_floor,
-            (0.0, horizon),
-        )
+        return adaptive_sample(intensity_evaluator(config, args.method), seeds, (0.0, horizon))
     return intensity_curve(config, _grid(horizon, args.dt), args.method)
 
 
@@ -247,21 +247,23 @@ def cmd_compare(args, config):
     return config, {"compare": str(path)}, _campaign_fields(args, result)
 
 
-def _add_common(p: argparse.ArgumentParser, threads=False, n_traj=False):
+def _add_common(p: argparse.ArgumentParser, campaign=False, threads=False):
+    """The config source and output flags; a campaign, which draws random
+    numbers, adds its seed and trajectory count, and optionally its workers."""
     p.add_argument("--config", help="YAML scenario configuration file")
     p.add_argument(
         "--preset", choices=sorted(PRESETS), help="built-in named scenario"
     )
     p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--seed", type=int, help="campaign seed (default: the scenario's)")
+    if campaign:
+        p.add_argument("--seed", type=int, help="campaign seed (default: the scenario's)")
+        p.add_argument("--n-traj", type=int, dest="n_traj", help="trajectory count")
     if threads:
         p.add_argument("--threads", type=_positive_int, default=1, help="worker processes")
-    if n_traj:
-        p.add_argument("--n-traj", type=int, dest="n_traj", help="trajectory count")
 
 
 def _positive(text: str) -> float:
-    """argparse type of a step or rate: a positive finite number."""
+    """argparse type of a step: a positive finite number."""
     value = float(text)
     if not (value > 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
@@ -279,11 +281,11 @@ def _positive_int(text: str) -> int:
 def _add_curve_flags(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=METHODS, default="quadrature")
     p.add_argument("--dt", type=_positive, default=0.05, help="dense grid step, s")
-    p.add_argument("--adaptive", action="store_true", help="adaptive sampling")
-    p.add_argument("--dt1", type=_positive, default=0.5, help="adaptive coarse step, s")
-    p.add_argument("--dt2", type=_positive, default=0.2, help="adaptive refine step, s")
     p.add_argument(
-        "--rate-floor", type=_positive, default=0.01, help="adaptive stop intensity, 1/s"
+        "--adaptive",
+        action="store_true",
+        help=f"adaptive sampling: {COARSE_STEP:g} s march, {FINE_STEP:g} s refinement, "
+        f"stop below {RATE_FLOOR:g} 1/s",
     )
 
 
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="Monte-Carlo campaign: histogram + statistics")
-    _add_common(p, threads=True, n_traj=True)
+    _add_common(p, campaign=True, threads=True)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("intensity", help="entry-intensity curve")
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_probability)
 
     p = sub.add_parser("ttc", help="initial-condition TTC histogram + seed times")
-    _add_common(p, n_traj=True)
+    _add_common(p, campaign=True)
     p.set_defaults(fn=cmd_ttc)
 
     p = sub.add_parser("salient", help="per-salient-point intensity curves")
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_salient)
 
     p = sub.add_parser("compare", help="MC, intensity methods, overlap, TTC on one grid")
-    _add_common(p, threads=True, n_traj=True)
+    _add_common(p, campaign=True, threads=True)
     p.set_defaults(fn=cmd_compare)
 
     return parser
@@ -336,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "dt1") and not args.dt2 < args.dt1:
-        parser.error(f"--dt2 ({args.dt2}) must be < --dt1 ({args.dt1})")
     if hasattr(args, "t1") and not 0.0 <= args.t1 <= args.t2 < math.inf:
         parser.error(f"need 0 <= --t1 <= --t2 < inf, got {args.t1} and {args.t2}")
     try:

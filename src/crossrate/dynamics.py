@@ -1,10 +1,12 @@
 """Example target-vehicle dynamics in host-relative coordinates.
 
 Six-dimensional white-noise-jerk kinematics (x, y, xdot, ydot, xddot,
-yddot) with an optional sinusoidal jerk input, its exact discrete-time
-process noise covariance, the radar measurement model, the steady-state
-filter covariance via Riccati iteration, and the salient-point (corner)
-transformation of the state distribution.
+yddot) with a sinusoidal jerk input, on exactly when one of its gains is
+non-zero, its exact discrete-time process noise covariance, the radar
+measurement model, the steady-state filter covariance via Riccati
+iteration, and the salient-point (corner) transformation of the state
+distribution.  A numerical failure of the prediction (a covariance that
+overflows or loses PSD) raises NumericsError.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .gaussian import GaussianDensity, _NotPSDError, symmetrize
+from .gaussian import GaussianDensity, symmetrize
 
 STATE_DIM = 6
 
@@ -65,9 +67,10 @@ class MotionModel:
     """White-noise-jerk model parameters.
 
     qx, qy are the jerk power spectral densities (m^2 s^-5).  The
-    deterministic jerk input is u(t) = (b1 sin(omega t), b2 sin(omega t));
-    with input_enabled False the input gain is zero and the model reduces
-    to constant acceleration plus noise.
+    deterministic jerk input is u(t) = (b1 sin(omega t), b2 sin(omega t)).
+    It is on exactly when b1 or b2 is non-zero, and then needs omega > 0;
+    with both gains zero the model reduces to constant acceleration plus
+    noise.
     """
 
     qx: float
@@ -75,13 +78,17 @@ class MotionModel:
     b1: float = 0.0
     b2: float = 0.0
     omega: float = 0.0
-    input_enabled: bool = False
 
     def __post_init__(self):
         if self.qx < 0 or self.qy < 0:
             raise ValueError(f"jerk PSDs must be >= 0, got qx={self.qx}, qy={self.qy}")
-        if self.input_enabled and self.omega <= 0:
-            raise ValueError("omega must be > 0 when the input is enabled")
+        if self.input_enabled and not self.omega > 0:
+            raise ValueError(f"omega must be > 0 when b1 or b2 is non-zero, got {self.omega}")
+
+    @property
+    def input_enabled(self) -> bool:
+        """Whether the jerk input is on: b1 or b2 is non-zero."""
+        return self.b1 != 0.0 or self.b2 != 0.0
 
     def jerk_input(self, t: float) -> np.ndarray:
         """Deterministic jerk u(t) in (x, y)."""
@@ -141,7 +148,10 @@ def process_noise_cov(dt: float, model: MotionModel) -> np.ndarray:
     """Exact discrete-time process noise covariance of the jerk model."""
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    d5 = dt**5 / 20.0
+    try:
+        d5 = dt**5 / 20.0
+    except OverflowError:
+        raise NumericsError(f"process noise covariance overflows over dt = {dt:g} s") from None
     d4 = dt**4 / 8.0
     d3a = dt**3 / 6.0
     d3b = dt**3 / 3.0
@@ -162,31 +172,51 @@ def process_noise_cov(dt: float, model: MotionModel) -> np.ndarray:
     return q
 
 
-def _input_weights(dt: float, omega: float) -> tuple[float, float, float, float]:
+# Below this |omega dt| _input_weights sums power series: the closed forms
+# cancel there.  At |omega dt| = 1 both agree to rounding.
+_SERIES_CUTOFF = 1.0
+# Row 2k + j, j = 0 (c_k) or 1 (s_k), holds the coefficients of the sum in
+# w_kj = dt^(k+1) / k! x^j sum_n (-x^2)^n / ((2n + j)! (k + 2n + j + 1)),
+# x = omega dt, n = 0..9.  The first term left out is < x^20 / 20! < 5e-19.
+_SERIES = np.array(
+    [[1.0 / (math.factorial(2 * n + j) * (k + 2 * n + j + 1)) for n in range(10)]
+     for k in range(3) for j in (0, 1)]
+)
+
+
+def _input_weights(dt: float, omega: float) -> tuple[float, ...]:
     """Moment integrals of a unit sinusoidal jerk over one step of length dt.
 
-    Returns (c1, s1, c2, s2) with c_k = int_0^dt s^k/k! cos(omega s) ds and
-    s_k = int_0^dt s^k/k! sin(omega s) ds.  input_increment combines them
-    with the phase at the step's end into the velocity (k = 1) and
-    position (k = 2) increments; they depend on dt and omega only.
+    Returns (c0, s0, c1, s1, c2, s2) with c_k = int_0^dt s^k/k! cos(omega s) ds
+    and s_k = int_0^dt s^k/k! sin(omega s) ds.  input_increment combines them
+    with the phase at the step's end into the acceleration (k = 0),
+    velocity (k = 1) and position (k = 2) increments; they depend on dt and
+    omega only.  Power series below _SERIES_CUTOFF in |omega dt|, closed
+    forms above it.
     """
     w = omega
-    wt = w * dt
-    sin_wt = math.sin(wt)
-    cos_wt = math.cos(wt)
+    x = w * dt
+    if abs(x) < _SERIES_CUTOFF:
+        scale = np.outer([dt, dt * dt, 0.5 * dt**3], [1.0, x]).ravel()
+        return tuple((scale * (_SERIES @ (-x * x) ** np.arange(10))).tolist())
+    sin_wt = math.sin(x)
+    cos_wt = math.cos(x)
+    c0 = sin_wt / w
+    s0 = (1.0 - cos_wt) / w
     c1 = (cos_wt - 1.0) / w**2 + dt * sin_wt / w
     s1 = sin_wt / w**2 - dt * cos_wt / w
     c2 = (dt**2 / (2 * w)) * sin_wt + (dt / w**2) * cos_wt - sin_wt / w**3
     s2 = -(dt**2 / (2 * w)) * cos_wt + (dt / w**2) * sin_wt + (cos_wt - 1.0) / w**3
-    return c1, s1, c2, s2
+    return c0, s0, c1, s1, c2, s2
 
 
 def input_increment(dt: float, model: MotionModel, t0: float = 0.0) -> np.ndarray:
     """Particular-solution state increment of the sinusoidal jerk input.
 
-    Closed-form antiderivatives of b sin(omega t) entering at the jerk
-    level, propagated through the integrator chain from absolute time t0
-    over a step of length dt.
+    The integrals of b sin(omega s) through the integrator chain from
+    absolute time t0 over a step of length dt: with t1 = t0 + dt, the
+    increment of derivative order 2 - k is b int_t0^t1 (t1 - s)^k/k!
+    sin(omega s) ds = b (sin(omega t1) c_k - cos(omega t1) s_k).
     """
     if not model.input_enabled or dt == 0.0:
         return np.zeros(STATE_DIM)
@@ -194,8 +224,8 @@ def input_increment(dt: float, model: MotionModel, t0: float = 0.0) -> np.ndarra
     t1 = t0 + dt
     sin_t1 = math.sin(w * t1)
     cos_t1 = math.cos(w * t1)
-    c1, s1, c2, s2 = _input_weights(dt, w)
-    i0 = (math.cos(w * t0) - cos_t1) / w
+    c0, s0, c1, s1, c2, s2 = _input_weights(dt, w)
+    i0 = sin_t1 * c0 - cos_t1 * s0
     i1 = sin_t1 * c1 - cos_t1 * s1
     i2 = sin_t1 * c2 - cos_t1 * s2
     inc = np.zeros(STATE_DIM)
@@ -221,12 +251,15 @@ def predict_density(
     if g.dim != STATE_DIM:
         raise ValueError(f"expected a {STATE_DIM}-dim density, got {g.dim}")
     phi = transition_matrix(dt)
-    mean = phi @ g.mean + input_increment(dt, model, t0)
-    cov = phi @ g.cov @ phi.T + process_noise_cov(dt, model)  # the density symmetrizes it
+    # process_noise_cov first: it raises NumericsError on a dt whose powers overflow.
+    # An entry that overflows here is reported by the density check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = phi @ g.cov @ phi.T + process_noise_cov(dt, model)  # the density symmetrizes it
+        mean = phi @ g.mean + input_increment(dt, model, t0)
     try:
         return GaussianDensity(mean, cov)
-    except _NotPSDError as exc:
-        raise NumericsError(f"propagated covariance lost PSD (min eig {exc.min_eig:g})") from None
+    except ValueError as exc:  # it overflowed or lost PSD
+        raise NumericsError(f"predicted density is invalid: {exc}") from None
 
 
 def measurement_function(s: StateVector) -> tuple[float, float, float]:
@@ -313,35 +346,28 @@ def _salient_map(x: np.ndarray, delta: np.ndarray, jerk: np.ndarray) -> np.ndarr
     ])
 
 
-def _salient_args(s: StateVector, off: SalientOffset, model: MotionModel | None, t: float):
+def _salient_args(s: StateVector, off: SalientOffset, model: MotionModel, t: float):
     """(state, offset, jerk) arrays of a salient transform at time t."""
     if s.speed <= EPS_SPEED:
         raise DomainError(f"orientation undefined: speed {s.speed:g} <= {EPS_SPEED:g} m/s")
-    jerk = model.jerk_input(t) if model is not None else np.zeros(2)
-    return s.as_array(), off.as_array(), jerk
+    return s.as_array(), off.as_array(), model.jerk_input(t)
 
 
 def salient_transform_state(
-    s: StateVector,
-    off: SalientOffset,
-    model: MotionModel | None = None,
-    t: float = 0.0,
+    s: StateVector, off: SalientOffset, model: MotionModel, t: float
 ) -> StateVector:
-    """Translate the state to a salient point given in the body frame.
+    """Translate the state at time t to a salient point given in the body frame.
 
     Orientation is the velocity direction (Ackermann limit); its first
     and second derivatives follow from the state, with the jerk terms in
-    the second derivative given by the deterministic input (zero when the
-    input is disabled).
+    the second derivative given by the model's input at t (zero when both
+    gains are zero).
     """
     return StateVector.from_array(_salient_map(*_salient_args(s, off, model, t)))
 
 
 def salient_jacobian(
-    s: StateVector,
-    off: SalientOffset,
-    model: MotionModel | None = None,
-    t: float = 0.0,
+    s: StateVector, off: SalientOffset, model: MotionModel, t: float
 ) -> np.ndarray:
     """6x6 Jacobian of the salient-point transformation.
 
@@ -357,10 +383,7 @@ def salient_jacobian(
 
 
 def salient_transform_density(
-    g: GaussianDensity,
-    off: SalientOffset,
-    model: MotionModel | None = None,
-    t: float = 0.0,
+    g: GaussianDensity, off: SalientOffset, model: MotionModel, t: float
 ) -> GaussianDensity:
     """Second-order linearization of the salient-point transformation.
 

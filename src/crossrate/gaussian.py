@@ -24,6 +24,7 @@ _PSD_RTOL = 1e-10
 _COND_LIMIT = 1e12
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
+_MAX_ENTRY = 0.5 * float(np.finfo(float).max)  # so that symmetrize cannot overflow
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -46,14 +47,6 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
     return w
 
 
-class _NotPSDError(ValueError):
-    """A covariance below the PSD tolerance, with its smallest eigenvalue."""
-
-    def __init__(self, min_eig: float):
-        self.min_eig = min_eig
-        super().__init__(f"covariance is not positive semi-definite (min eig {min_eig:g})")
-
-
 @dataclass(frozen=True)
 class GaussianDensity:
     """Mean vector and covariance matrix of an N-dimensional Gaussian.
@@ -73,14 +66,16 @@ class GaussianDensity:
         if mean.size != cov.shape[0]:
             raise ValueError(f"mean length {mean.size} != covariance size {cov.shape[0]}")
         scale = np.abs(cov).max()  # NaN or inf when an entry is
-        if not (math.isfinite(scale) and all(map(math.isfinite, mean.tolist()))):
-            raise ValueError("mean and covariance must be finite")
+        if not (scale <= _MAX_ENTRY and all(map(math.isfinite, mean.tolist()))):
+            raise ValueError(
+                f"mean must be finite and covariance entries at most {_MAX_ENTRY:.3g} in size"
+            )
         if (cov - cov.T).max() > _SYM_RTOL * max(scale, 1.0):  # antisymmetric: max = max |.|
             raise ValueError("covariance is not symmetric")
         cov = symmetrize(cov)
         min_eig = _eigvalsh(cov)[0]
         if min_eig < -_PSD_RTOL * max(sum(cov.diagonal().tolist()), 1.0) - _psd_slack:
-            raise _NotPSDError(min_eig)
+            raise ValueError(f"covariance is not positive semi-definite (min eig {min_eig:g})")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)

@@ -321,8 +321,8 @@ def ttc_config(config: ScenarioConfig) -> ScenarioConfig:
     """The config of the TTC study, which propagates each draw deterministically.
 
     Resolves P0 first, so the filter-derived initial spread is kept, then
-    zeroes the trajectory noise and the input; a config that has neither
-    is returned as is.
+    zeroes the trajectory noise and the input's gains; a config that has
+    neither is returned as is.
     """
     model = config.model
     if not (model.input_enabled or model.qx > 0.0 or model.qy > 0.0):
@@ -330,7 +330,7 @@ def ttc_config(config: ScenarioConfig) -> ScenarioConfig:
     return dataclasses.replace(
         config,
         initial_cov=config.resolve_initial_cov(),
-        model=dataclasses.replace(model, qx=0.0, qy=0.0, input_enabled=False),
+        model=dataclasses.replace(model, qx=0.0, qy=0.0, b1=0.0, b2=0.0),
     )
 
 
@@ -345,7 +345,7 @@ def ttc_monte_carlo(config: ScenarioConfig) -> dict:
     """
     if config.model.input_enabled:
         raise ConfigError(
-            "TTC Monte-Carlo requires the deterministic input disabled", "model.input_enabled"
+            "TTC Monte-Carlo requires the deterministic input off (b1 = b2 = 0)", "model.input"
         )
     n = config.n_traj
     sides = segments(config.rect)[:2]  # front, right

@@ -7,7 +7,8 @@ time grid, and `compare_curves` samples every method and the spatial
 overlap on one predicted density per time.  Also temporal integration of
 the entry intensity (expected number of entries, an upper bound on the
 collision probability), deterministic TTC seeds (the mean's roots from
-`geometry.line_roots`), the adaptive curve sampler, and the
+`geometry.line_roots`), the adaptive curve sampler with the paper's
+steps (COARSE_STEP, FINE_STEP, RATE_FLOOR, stated here only), and the
 spatial-overlap comparator, a rectangle probability of the positional
 marginal in closed form (four bivariate normal CDFs).
 """
@@ -27,6 +28,12 @@ from .intensity import METHODS, RateSample, total_intensity
 
 if TYPE_CHECKING:
     from .scenarios import ScenarioConfig
+
+# The paper's adaptive sampler: coarse march step (s), refinement step (s)
+# and the intensity (1/s) below which a march stops.
+COARSE_STEP = 0.5
+FINE_STEP = 0.2
+RATE_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -166,10 +173,10 @@ def deterministic_ttc_seeds(
 def adaptive_sample(
     evaluator,
     seeds,
-    dt1: float,
-    dt2: float,
-    rate_floor: float,
     horizon: tuple[float, float],
+    dt1: float = COARSE_STEP,
+    dt2: float = FINE_STEP,
+    rate_floor: float = RATE_FLOOR,
 ) -> RateCurve:
     """Sample an intensity curve adaptively around its characteristic shape.
 

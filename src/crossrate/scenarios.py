@@ -2,7 +2,9 @@
 
 ScenarioConfig holds everything one campaign or analysis needs.  Config
 files are YAML with nested sections mirroring it; all quantities are SI
-(m, s, rad).  The built-in presets encode the two
+(m, s, rad).  `model.input` holds the jerk input's gains b1, b2 and its
+frequency omega; the input is on exactly when a gain is non-zero, and
+there is no separate switch.  The built-in presets encode the two
 reference scenarios (target straight ahead, target front-right) used
 throughout the numerical studies.
 """
@@ -110,7 +112,7 @@ PRESETS: dict[str, dict] = {
         "model": {
             "qx": 0.0101,
             "qy": 0.0101,
-            "input": {"enabled": True, "b1": -0.2, "b2": -0.3, "omega": 0.5},
+            "input": {"b1": -0.2, "b2": -0.3, "omega": 0.5},
         },
         "radar": {},
         "rect": {},
@@ -128,7 +130,7 @@ PRESETS: dict[str, dict] = {
         "model": {
             "qx": 0.0405,
             "qy": 0.0405,
-            "input": {"enabled": True, "b1": -0.4, "b2": -0.5, "omega": 0.5},
+            "input": {"b1": -0.4, "b2": -0.5, "omega": 0.5},
         },
         "radar": {},
         "rect": {},
@@ -192,15 +194,6 @@ def _parse(value, path: str, parsers: dict, required=()) -> dict:
     return {k: parsers[k](v, f"{path}.{k}") for k, v in section.items()}
 
 
-def _input(value, path: str) -> dict:
-    """model.input as MotionModel keyword arguments."""
-    kwargs = {}
-    for key, v in _section(value, path, _INPUT).items():
-        field, parse = _INPUT[key]
-        kwargs[field] = parse(v, f"{path}.{key}")
-    return kwargs
-
-
 # The YAML schema, stated once: build_config parses with these tables and
 # config_as_dict writes the manifest from them.  Defaults live only on the
 # dataclasses, so a key that a section leaves out keeps its default.
@@ -215,13 +208,8 @@ _SCENARIO = {
     "seed": _integer,
     "terminate_on_entry": _flag,
 }
-_MODEL = {"qx": _number, "qy": _number, "input": _input}
-_INPUT = {  # YAML key -> (MotionModel field, parser)
-    "enabled": ("input_enabled", _flag),
-    "b1": ("b1", _number),
-    "b2": ("b2", _number),
-    "omega": ("omega", _number),
-}
+_INPUT = dict.fromkeys(("b1", "b2", "omega"), _number)
+_MODEL = {"qx": _number, "qy": _number, "input": lambda value, path: _parse(value, path, _INPUT)}
 _RADAR = dict.fromkeys((f.name for f in fields(RadarNoise)), _number)
 _RECT = dict.fromkeys((f.name for f in fields(HostRectangle)), _number)
 
@@ -297,7 +285,7 @@ def config_as_dict(config: ScenarioConfig) -> dict:
         "model": {
             "qx": model.qx,
             "qy": model.qy,
-            "input": {key: getattr(model, field) for key, (field, _) in _INPUT.items()},
+            "input": {key: getattr(model, key) for key in _INPUT},
         },
         "radar": asdict(config.radar),
         "rect": asdict(config.rect),

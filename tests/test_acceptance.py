@@ -240,7 +240,7 @@ def test_criterion_5_adaptive_sampler(dense_curves):
         cfg = preset_config(name)
         ev = intensity_evaluator(cfg, "quadrature")
         seeds = deterministic_ttc_seeds(cfg.initial_mean, cfg.rect)
-        curve = adaptive_sample(ev, seeds, 0.5, 0.2, 0.01, (0.0, cfg.horizon))
+        curve = adaptive_sample(ev, seeds, (0.0, cfg.horizon))
         lo, hi = curve.samples[0].t, curve.samples[-1].t
         adaptive = integrate_intensity(curve, lo, hi).p_upper
         dense = integrate_intensity(
@@ -262,7 +262,7 @@ def test_criterion_6_ttc_identity():
     p0 = base.resolve_initial_cov()
     quiet = dataclasses.replace(
         base,
-        model=dataclasses.replace(base.model, qx=0.0, qy=0.0, input_enabled=False),
+        model=dataclasses.replace(base.model, qx=0.0, qy=0.0, b1=0.0, b2=0.0),
         initial_cov=p0,
     )
     ttc = ttc_monte_carlo(quiet)
@@ -354,9 +354,7 @@ class TestCriterion7NumericsProperties:
 
     def test_salient_jacobian_finite_difference_1000(self):
         rng = np.random.default_rng(72)
-        model = MotionModel(
-            qx=0.0405, qy=0.0405, b1=-0.4, b2=-0.5, omega=0.5, input_enabled=True
-        )
+        model = MotionModel(qx=0.0405, qy=0.0405, b1=-0.4, b2=-0.5, omega=0.5)
         step = 1e-6
         worst = 0.0
         checked = 0

@@ -181,7 +181,7 @@ class TestCurveWarning:
     NO_SEEDS = (
         "preset: front\n"
         "scenario:\n  initial_mean: [200, 0, 10, 0, 0, 0]\n"
-        "model:\n  input: {enabled: false}\n"
+        "model:\n  input: {b1: 0, b2: 0}\n"
     )
 
     @pytest.mark.parametrize("method", ["taylor0", "quadrature"])
@@ -303,7 +303,8 @@ class TestTtc:
         )
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["model"]["qx"] == 0.0
-        assert manifest["config"]["model"]["input"]["enabled"] is False
+        assert manifest["config"]["model"]["input"]["b1"] == 0.0
+        assert manifest["config"]["model"]["input"]["b2"] == 0.0
         rows = read_csv(out / "ttc_histogram.csv")
         assert sum(float(r["front_rate"]) + float(r["right_rate"]) for r in rows) > 0
 
@@ -475,8 +476,35 @@ class TestErrorPaths:
         assert "numerical failure: Riccati iteration did not converge" in capsys.readouterr().err
         assert not (tmp_path / "intensity.csv").exists()
 
+    # finite configs the loader accepts whose prediction overflows; PyYAML reads
+    # 1e+62 as a string, so the exponents carry a decimal point
+    HUGE_P0 = "scenario:\n  initial_cov: [%s]" % ", ".join(
+        "[%s]" % ", ".join("1.0e+306" if i == j else "0" for j in range(6)) for i in range(6)
+    )
+    HUGE_STEP = "scenario: {horizon: 2.0e+62, bin_width: 1.0e+62, sim_step: 1.0e+62}"
+
+    @pytest.mark.parametrize(
+        "argv, scenario",
+        [
+            (["intensity"], HUGE_P0),
+            (["simulate", "--n-traj", "10"], HUGE_STEP),
+            (["compare", "--n-traj", "10"], HUGE_STEP),
+            (["intensity", "--dt", "1.0e+62"], HUGE_STEP),
+            (["salient", "--dt", "1.0e+62"], HUGE_STEP),
+        ],
+        ids=["intensity-huge-p0", "simulate-huge-step", "compare-huge-step",
+             "intensity-huge-step", "salient-huge-step"],
+    )
+    def test_overflowing_prediction_exit_3(self, tmp_path, capsys, argv, scenario):
+        """A prediction that overflows is a numerical failure, reported in one line."""
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"preset: front\n{scenario}\n")
+        assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     AT_ORIGIN = "scenario:\n  initial_mean: [0, 0, -2, 0, 0, 0]"  # zero radar range
-    STATIONARY = "scenario:\n  initial_mean: [10, 0, 0, 0, 0, 0]\nmodel:\n  input: {enabled: false}"
+    STATIONARY = "scenario:\n  initial_mean: [10, 0, 0, 0, 0, 0]\nmodel:\n  input: {b1: 0, b2: 0}"
 
     @pytest.mark.parametrize(
         "argv, scenario, message",
@@ -535,7 +563,7 @@ class TestErrorPaths:
 
 
 class TestInvalidInputExit2:
-    """Bad flags, config fields and seeds exit 2 before any output is written."""
+    """Bad or removed flags, config fields and seeds exit 2 before any output is written."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -545,9 +573,9 @@ class TestInvalidInputExit2:
             ["intensity", "--dt", "nan"],
             ["intensity", "--horizon", "2", "--method", "taylor0"],
             ["salient", "--dt", "0"],
-            ["intensity", "--adaptive", "--rate-floor", "0"],
-            ["intensity", "--adaptive", "--dt1", "0.2", "--dt2", "0.3"],
-            ["intensity", "--adaptive", "--dt1", "inf"],
+            ["intensity", "--seed", "1"],
+            ["salient", "--seed", "1"],
+            ["probability", "--t2", "6", "--adaptive", "--dt1", "0.5"],
             ["probability", "--t1", "3", "--t2", "2", "--method", "taylor0", "--dt", "1"],
             ["probability", "--t1=-1", "--t2", "2", "--method", "taylor0", "--dt", "1"],
             ["probability", "--t1=-1", "--t2", "6", "--adaptive", "--method", "taylor0"],
@@ -583,7 +611,7 @@ class TestInvalidInputExit2:
         "model.q_x": "model: {q_x: 0.1}",
         "model.input.omga": "model: {input: {omga: 1.0}}",
         "scenario.terminate_on_entry": "scenario: {terminate_on_entry: 'false'}",
-        "model.input.enabled": "model: {input: {enabled: 'false'}}",
+        "model.input.enabled": "model: {input: {enabled: false}}",
         "radar": "radar: 5",
         "scenario.horizon": "scenario: {horizon: .inf}",
         "model.qx": "model: {qx: .nan}",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 from crossrate import (
@@ -26,9 +28,7 @@ from crossrate.dynamics import EPS_SPEED, salient_jacobian
 from crossrate.errors import DomainError, NumericsError
 
 CA_MODEL = MotionModel(qx=1.0, qy=1.0)
-INPUT_MODEL = MotionModel(
-    qx=0.0101, qy=0.0101, b1=-0.2, b2=-0.3, omega=0.5, input_enabled=True
-)
+INPUT_MODEL = MotionModel(qx=0.0101, qy=0.0101, b1=-0.2, b2=-0.3, omega=0.5)
 
 
 def random_state(rng, min_speed=0.5):
@@ -142,6 +142,82 @@ class TestPredictMean:
         np.testing.assert_allclose(chained.as_array(), direct.as_array(), atol=1e-10)
 
 
+def increment_scale(h: float) -> np.ndarray:
+    """|b| h^(k+1) / (k+1)! per state component, b = 1: a bound on |increment|."""
+    return np.array([h**3 / 6, h**3 / 6, h**2 / 2, h**2 / 2, h, h])
+
+
+class TestInputIncrement:
+    """The jerk input's increment stays accurate as omega -> 0, where the
+    closed forms of its weights cancel (and divided by zero at omega 1e-120)."""
+
+    @staticmethod
+    def reference(h: float, model: MotionModel, t0: float) -> np.ndarray:
+        """b int_t0^t1 (t1 - s)^k / k! sin(omega s) ds by adaptive quadrature."""
+        t1 = t0 + h
+        out = np.empty(6)
+        for k, row in ((2, 0), (1, 2), (0, 4)):
+            scale = h ** (k + 1) / math.factorial(k + 1)
+            value, _ = scipy_integrate.quad(
+                lambda u: u**k / math.factorial(k) * math.sin(model.omega * (t1 - u)),
+                0.0,
+                h,
+                epsabs=1e-14 * scale,
+                epsrel=1e-13,
+                limit=1000,
+            )
+            out[row], out[row + 1] = model.b1 * value, model.b2 * value
+        return out
+
+    @pytest.mark.parametrize("omega", [1e-120, *(10.0**e for e in range(-12, 2))])
+    def test_matches_quadrature(self, omega):
+        model = MotionModel(qx=0.0, qy=0.0, b1=1.0, b2=-0.5, omega=omega)
+        for h in (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 10.0):
+            for t0 in (0.0, 3.7):
+                err = np.abs(dynamics.input_increment(h, model, t0) - self.reference(h, model, t0))
+                assert np.all(err <= 1e-12 * increment_scale(h)), (h, t0, err)
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_series_and_closed_forms_meet(self, side):
+        """Steps just below, at and above the |omega h| = 1 switch of the weights."""
+        model = MotionModel(qx=0.0, qy=0.0, b1=1.0, b2=-0.5, omega=0.5)
+        h = 2.0 + side * 1e-12
+        err = np.abs(dynamics.input_increment(h, model, 1.3) - self.reference(h, model, 1.3))
+        assert np.all(err <= 1e-14 * increment_scale(h))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_omega=st.floats(-12.0, 1.0),
+        a=st.floats(1e-3, 5.0),
+        b=st.floats(1e-3, 5.0),
+        t0=st.floats(0.0, 5.0),
+    )
+    def test_chaining(self, log_omega, a, b, t0):
+        """The increment over [t0, t0 + a], propagated through [t0 + a, t0 + a + b],
+        plus the increment over that step, is the increment over both."""
+        model = MotionModel(qx=0.0, qy=0.0, b1=1.0, b2=-0.5, omega=10.0**log_omega)
+        chained = transition_matrix(b) @ dynamics.input_increment(
+            a, model, t0
+        ) + dynamics.input_increment(b, model, t0 + a)
+        direct = dynamics.input_increment(a + b, model, t0)
+        assert np.all(np.abs(chained - direct) <= 1e-12 * increment_scale(a + b))
+
+
+class TestMotionModel:
+    def test_input_is_on_exactly_when_a_gain_is_non_zero(self):
+        assert not MotionModel(qx=1.0, qy=1.0, omega=0.5).input_enabled
+        assert MotionModel(qx=1.0, qy=1.0, b2=-0.3, omega=0.5).input_enabled
+        np.testing.assert_array_equal(
+            dynamics.input_increment(1.0, MotionModel(qx=1.0, qy=1.0, omega=0.5), 0.0), 0.0
+        )
+
+    @pytest.mark.parametrize("omega", [0.0, -0.5, math.nan])
+    def test_gain_needs_positive_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must be > 0"):
+            MotionModel(qx=1.0, qy=1.0, b1=0.1, omega=omega)
+        MotionModel(qx=1.0, qy=1.0, omega=omega)  # no input, no frequency needed
+
+
 class TestPredictDensity:
     def test_zero_dt_identity(self):
         g = GaussianDensity(np.arange(6.0), np.eye(6))
@@ -173,7 +249,8 @@ class TestPredictDensity:
         failure (exit 3), not a bad-input ValueError."""
         monkeypatch.setattr(dynamics, "process_noise_cov", lambda dt, model: -2.0 * np.eye(6))
         g = GaussianDensity(np.zeros(6), np.eye(6))
-        with pytest.raises(NumericsError, match=r"propagated covariance lost PSD \(min eig -1\)"):
+        message = r"predicted density is invalid: covariance is not positive semi-definite"
+        with pytest.raises(NumericsError, match=message + r" \(min eig -1\)"):
             predict_density(g, 0.0, CA_MODEL)
 
 
@@ -276,19 +353,19 @@ class TestSteadyStateCovariance:
 class TestSalientTransform:
     def test_zero_offset_identity(self):
         s = StateVector(1, 2, 3, 4, 5, 6)
-        out = salient_transform_state(s, SalientOffset(0.0, 0.0))
+        out = salient_transform_state(s, SalientOffset(0.0, 0.0), CA_MODEL, 0.0)
         np.testing.assert_allclose(out.as_array(), s.as_array())
 
     def test_straight_motion_translates_position_only(self):
         out = salient_transform_state(
-            StateVector(0, 0, 1, 0, 0, 0), SalientOffset(2.0, 1.0)
+            StateVector(0, 0, 1, 0, 0, 0), SalientOffset(2.0, 1.0), CA_MODEL, 0.0
         )
         np.testing.assert_allclose(out.as_array(), [2, 1, 1, 0, 0, 0], atol=1e-12)
 
     def test_rotating_motion_velocity_term(self):
         """alpha_dot=1 turn: velocity gains omega x r."""
         out = salient_transform_state(
-            StateVector(0, 0, 1, 0, 0, 1), SalientOffset(1.0, 0.0)
+            StateVector(0, 0, 1, 0, 0, 1), SalientOffset(1.0, 0.0), CA_MODEL, 0.0
         )
         np.testing.assert_allclose(out.xdot, 1.0, atol=1e-12)
         np.testing.assert_allclose(out.ydot, 1.0, atol=1e-12)
@@ -296,16 +373,18 @@ class TestSalientTransform:
     def test_near_zero_speed_rejected(self):
         with pytest.raises(DomainError):
             salient_transform_state(
-                StateVector(0, 0, 1e-6, 0, 0, 0), SalientOffset(1.0, 0.0)
+                StateVector(0, 0, 1e-6, 0, 0, 0), SalientOffset(1.0, 0.0), CA_MODEL, 0.0
             )
 
     def test_jacobian_and_density_reject_near_zero_speed(self):
         s = StateVector(0, 0, 0.6 * EPS_SPEED, -0.6 * EPS_SPEED, 1, 0)
         off = SalientOffset(1.0, 0.0)
         with pytest.raises(DomainError):
-            salient_jacobian(s, off)
+            salient_jacobian(s, off, CA_MODEL, 0.0)
         with pytest.raises(DomainError):
-            salient_transform_density(GaussianDensity(s.as_array(), np.eye(6)), off)
+            salient_transform_density(
+                GaussianDensity(s.as_array(), np.eye(6)), off, CA_MODEL, 0.0
+            )
 
     def test_zero_offset_jacobian_is_exact_identity(self):
         rng = np.random.default_rng(5)
@@ -342,7 +421,7 @@ class TestSalientTransform:
         rng = np.random.default_rng(13)
         a = rng.standard_normal((6, 6)) * 0.2
         g = GaussianDensity([0, 0, 5, 1, 0.2, -0.1], a @ a.T + 0.1 * np.eye(6))
-        out = salient_transform_density(g, SalientOffset(0.0, 0.0))
+        out = salient_transform_density(g, SalientOffset(0.0, 0.0), CA_MODEL, 0.0)
         np.testing.assert_allclose(out.mean, g.mean, atol=1e-12)
         np.testing.assert_allclose(out.cov, g.cov, atol=1e-10)
 
@@ -353,12 +432,12 @@ class TestSalientTransform:
         cov = np.diag([0.3, 0.3, 0.05, 0.05, 0.02, 0.02])
         g = GaussianDensity(mean, cov)
         off = SalientOffset(1.5, -0.8)
-        out = salient_transform_density(g, off)
+        out = salient_transform_density(g, off, CA_MODEL, 0.0)
         n = 100_000
         samples = mean + rng.standard_normal((n, 6)) @ np.sqrt(cov)
         transformed = np.array(
             [
-                salient_transform_state(StateVector(*row), off).as_array()
+                salient_transform_state(StateVector(*row), off, CA_MODEL, 0.0).as_array()
                 for row in samples[:n]
             ]
         )

@@ -417,13 +417,102 @@ class TestTotalIntensity:
             total_intensity(g, RECT, 0.0, "simpson")
 
 
+DEGENERATE_MEAN = [0.5, 0.2, -2.0, 0.3, 0.0, 0.0]  # ahead of the front, closing
+
+
+def degenerate_density(cov):
+    return GaussianDensity(DEGENERATE_MEAN, np.asarray(cov, float))
+
+
+def correlated_y_xdot(rho):
+    """Unit covariance but for corr(y, xdot) = rho."""
+    cov = np.eye(6)
+    cov[1, 2] = cov[2, 1] = rho
+    return cov
+
+
+def copied(i, j):
+    """Unit covariance with coordinate j an exact copy of coordinate i."""
+    factor = np.eye(6)
+    factor[j] = factor[i]
+    return factor @ factor.T
+
+
+# each raises NumericsError: nothing is left to condition on, or (xdot, y) is singular
+DEGENERATE_PINS = {
+    "zero covariance": np.zeros((6, 6)),
+    "zero xdot variance": np.diag([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]),
+    "xdot equals y": copied(1, 2),
+    "x equals y": copied(0, 1),
+}
+
+
+@st.composite
+def degenerate_densities(draw):
+    """6-dim densities about the host rectangle with degenerate covariances.
+
+    The covariance is L L^T for a random factor L.  Rows of L are zeroed
+    (zero P0 blocks), the xdot row is made a multiple of the y row (a
+    singular (xdot, y) block) or that multiple plus a small independent
+    part (|rho(y, xdot)| -> 1), and every row is scaled over decades.
+    """
+    rank = draw(st.integers(1, 7))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=6 * rank, max_size=6 * rank))
+    factor = np.reshape(entries, (6, rank))
+    for i in draw(st.sets(st.integers(0, 5), max_size=6)):
+        factor[i] = 0.0
+    coupling = draw(st.sampled_from(["none", "singular", "near-unit"]))
+    if coupling != "none":
+        factor[2] = draw(st.floats(-2.0, 2.0)) * factor[1]
+    if coupling == "near-unit":
+        factor[2, draw(st.integers(0, rank - 1))] += 10.0 ** -draw(st.integers(4, 15))
+    scales = [10.0 ** draw(st.integers(-8, 1)) for _ in range(6)]
+    cov = (scales * factor.T).T @ (scales * factor.T)
+    x = draw(st.sampled_from([RECT.x_front, RECT.x_rear]) | st.floats(-7.0, 2.0))
+    y = draw(st.sampled_from([RECT.y_left, RECT.y_right]) | st.floats(-3.0, 3.0))
+    xdot = draw(st.just(0.0) | st.floats(-5.0, 5.0))
+    ydot = draw(st.just(0.0) | st.floats(-5.0, 5.0))
+    return GaussianDensity([x, y, xdot, ydot, 0.0, 0.0], cov)
+
+
+class TestDegenerateDensities:
+    """ROADMAP item 6: a degenerate density gives a finite intensity >= 0 or a
+    NumericsError, never NaN, a ValueError or a RuntimeWarning (which the
+    test configuration turns into an error)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=degenerate_densities())
+    @example(g=degenerate_density(DEGENERATE_PINS["zero covariance"]))
+    @example(g=degenerate_density(DEGENERATE_PINS["zero xdot variance"]))
+    @example(g=degenerate_density(DEGENERATE_PINS["xdot equals y"]))
+    @example(g=degenerate_density(DEGENERATE_PINS["x equals y"]))
+    @example(g=degenerate_density(correlated_y_xdot(1.0 - 1e-14)))
+    def test_finite_or_numerics_error(self, g):
+        for method in METHODS:
+            try:
+                sample = total_intensity(g, RECT, 0.0, method)
+            except NumericsError:
+                continue
+            values = list(sample.per_segment.values())
+            assert all(math.isfinite(v) and v >= 0.0 for v in values), (method, values)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", [*DEGENERATE_PINS, "rho 1 - 1e-14"])
+    def test_pinned_outcome(self, name, method):
+        """The pins raise NumericsError, but for rho(y, xdot) = 1 - 1e-14: finite."""
+        if name in DEGENERATE_PINS:
+            with pytest.raises(NumericsError):
+                total_intensity(degenerate_density(DEGENERATE_PINS[name]), RECT, 0.0, method)
+        else:
+            g = degenerate_density(correlated_y_xdot(1.0 - 1e-14))
+            assert 0.0 < total_intensity(g, RECT, 0.0, method).mu_plus < math.inf
+
+
 class TestSalientComparison:
     def test_rear_corner_favors_cov_expansion(self):
         """Salient rear-corner curve: Sigma12 expansion error is smaller."""
         cfg = preset_config("front")
-        cfg = dataclasses.replace(
-            cfg, model=dataclasses.replace(cfg.model, input_enabled=False)
-        )
+        cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, b1=0.0, b2=0.0))
         off = SalientOffset(-4.0, -0.9)
         ts = np.arange(2.0, 6.5, 0.25)
         errs = {"taylor1_inv": 0.0, "taylor1_cov": 0.0}

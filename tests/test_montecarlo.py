@@ -319,7 +319,7 @@ def counts_from_records(cfg):
 # initial acceleration cancelling its drift, so most trajectories re-enter
 WEAVING = dict(
     initial_mean=StateVector(0.1, 1.7, -0.5, 0.0, 0.0, -20.0 / 3.0),
-    model=MotionModel(qx=0.0101, qy=0.0101, b2=20.0, omega=3.0, input_enabled=True),
+    model=MotionModel(qx=0.0101, qy=0.0101, b2=20.0, omega=3.0),
 )
 
 
@@ -504,7 +504,7 @@ class TestTtcMonteCarlo:
 
     def test_input_enabled_rejected(self):
         cfg = straight_config(
-            model=MotionModel(qx=0.0, qy=0.0, b1=0.1, b2=0.1, omega=0.5, input_enabled=True)
+            model=MotionModel(qx=0.0, qy=0.0, b1=0.1, b2=0.1, omega=0.5)
         )
         with pytest.raises(ConfigError):
             ttc_monte_carlo(cfg)

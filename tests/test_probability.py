@@ -182,11 +182,11 @@ class TestAdaptiveSample:
     def test_parameter_validation(self):
         ev = gaussian_bump_evaluator()
         with pytest.raises(ValueError):
-            adaptive_sample(ev, [("front", 4.0)], 0.2, 0.5, 0.01, (0.0, 8.0))
+            adaptive_sample(ev, [("front", 4.0)], (0.0, 8.0), 0.2, 0.5)
         with pytest.raises(ValueError):
-            adaptive_sample(ev, [("front", 4.0)], 0.5, 0.2, 0.0, (0.0, 8.0))
+            adaptive_sample(ev, [("front", 4.0)], (0.0, 8.0), rate_floor=0.0)
         with pytest.raises(ValueError):
-            adaptive_sample(ev, [("front", 4.0)], 0.5, 0.2, 0.01, (8.0, 0.0))
+            adaptive_sample(ev, [("front", 4.0)], (8.0, 0.0))
 
     @pytest.mark.parametrize("dt1, dt2", [(0.0, -0.1), (0.5, 0.0), (0.5, -0.2)])
     def test_non_positive_step_rejected(self, dt1, dt2):
@@ -198,14 +198,14 @@ class TestAdaptiveSample:
         signal.alarm(10)
         try:
             with pytest.raises(ValueError, match="0 < dt2 < dt1"):
-                adaptive_sample(gaussian_bump_evaluator(), [("front", 4.0)], dt1, dt2, 0.01, (0.0, 8.0))
+                adaptive_sample(gaussian_bump_evaluator(), [("front", 4.0)], (0.0, 8.0), dt1, dt2)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
     def test_unimodal_bump_integral_matches_dense(self):
         ev = gaussian_bump_evaluator()
-        curve = adaptive_sample(ev, [("front", 4.0)], 0.5, 0.2, 0.01, (0.0, 8.0))
+        curve = adaptive_sample(ev, [("front", 4.0)], (0.0, 8.0))
         lo, hi = curve.samples[0].t, curve.samples[-1].t
         adaptive = integrate_intensity(curve, lo, hi).p_upper
         ts = np.arange(0.0, 8.0 + 1e-9, 0.05)
@@ -217,7 +217,7 @@ class TestAdaptiveSample:
 
     def test_no_duplicate_or_out_of_range_times(self):
         ev = gaussian_bump_evaluator()
-        curve = adaptive_sample(ev, [("front", 4.0)], 0.5, 0.2, 0.01, (0.0, 8.0))
+        curve = adaptive_sample(ev, [("front", 4.0)], (0.0, 8.0))
         times = curve.times()
         assert len(np.unique(times)) == len(times)
         assert times[0] >= 0.0 and times[-1] <= 8.0
@@ -230,9 +230,7 @@ class TestAdaptiveSample:
             calls.append(t)
             return base(t)
 
-        curve = adaptive_sample(
-            counting_ev, [("front", 4.0)], 0.5, 0.2, 0.01, (0.0, 8.0)
-        )
+        curve = adaptive_sample(counting_ev, [("front", 4.0)], (0.0, 8.0))
         assert curve.evaluations == len(calls)
         assert len(set(calls)) == len(calls)
 
@@ -240,13 +238,13 @@ class TestAdaptiveSample:
         def flat_zero(t):
             return sample(t, 0.0)
 
-        curve = adaptive_sample(flat_zero, [], 0.5, 0.2, 0.01, (0.0, 8.0))
+        curve = adaptive_sample(flat_zero, [], (0.0, 8.0))
         assert curve.warning is not None
         assert integrate_intensity(curve, 0.0, 8.0).p_upper == 0.0
 
     def test_seedless_nonzero_uses_fallback_grid(self):
         ev = gaussian_bump_evaluator(center=4.0, width=1.5)
-        curve = adaptive_sample(ev, [], 0.5, 0.2, 0.01, (0.0, 8.0))
+        curve = adaptive_sample(ev, [], (0.0, 8.0))
         assert curve.warning is None
         assert curve.evaluations > 8
         peak_t = curve.times()[np.argmax(curve.values())]
@@ -258,9 +256,7 @@ class TestAdaptiveSample:
             v += 0.4 * math.exp(-0.5 * ((t - 5.0) / 0.4) ** 2)
             return sample(t, v)
 
-        curve = adaptive_sample(
-            two_bumps, [("front", 3.0), ("right", 5.0)], 0.5, 0.2, 0.01, (0.0, 8.0)
-        )
+        curve = adaptive_sample(two_bumps, [("front", 3.0), ("right", 5.0)], (0.0, 8.0))
         times = curve.times()
         # refinement placed dt2-spaced points inside the inter-peak dip
         dip = times[(times > 3.2) & (times < 4.8)]
@@ -269,9 +265,7 @@ class TestAdaptiveSample:
     def test_front_preset_evaluation_budget(self):
         cfg = preset_config("front")
         seeds = deterministic_ttc_seeds(cfg.initial_mean, cfg.rect)
-        curve = adaptive_sample(
-            intensity_evaluator(cfg), seeds, 0.5, 0.2, 0.01, (0.0, cfg.horizon)
-        )
+        curve = adaptive_sample(intensity_evaluator(cfg), seeds, (0.0, cfg.horizon))
         assert curve.evaluations <= 15
 
 

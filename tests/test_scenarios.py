@@ -198,7 +198,7 @@ FULL = {
     "model": {
         "qx": 0.02,
         "qy": 0.03,
-        "input": {"enabled": True, "b1": -0.1, "b2": 0.2, "omega": 0.7},
+        "input": {"b1": -0.1, "b2": 0.2, "omega": 0.7},
     },
     "radar": {"sigma_r": 0.4, "sigma_phi": 0.01, "sigma_rdot": 0.3, "cycle_time": 0.1},
     "rect": {"x_front": 0.5, "x_rear": -4.5, "y_left": -0.9, "y_right": 1.1},
@@ -221,7 +221,7 @@ def with_value(path: str, value) -> dict:
     return raw
 
 
-FLAGS = ["scenario.terminate_on_entry", "model.input.enabled"]
+FLAGS = ["scenario.terminate_on_entry"]
 NUMBERS = [
     f"{section}.{key}"
     for section in SECTIONS
@@ -248,6 +248,8 @@ def rejection_cases():
     for path in FLAGS:
         yield path, "false", path
         yield path, 1, path
+    yield "model.input.enabled", True, "model.input.enabled"  # no switch: the gains set it
+    yield "model.input.omega", 0.0, "omega must be > 0"  # FULL's gains are non-zero
     for path in NUMBERS:
         for bad in (float("nan"), float("inf"), -float("inf"), True, "1.0"):
             yield path, bad, path
@@ -309,7 +311,6 @@ FIELD_VALUES = {
     "scenario.terminate_on_entry": st.booleans(),
     "model.qx": numbers(0.0, 2.0),
     "model.qy": numbers(0.0, 2.0),
-    "model.input.enabled": st.booleans(),
     "model.input.b1": numbers(-1.0, 1.0),
     "model.input.b2": numbers(-1.0, 1.0),
     "model.input.omega": numbers(0.1, 2.0),
@@ -323,7 +324,7 @@ FIELD_VALUES = {
     "rect.y_right": numbers(0.5, 3.0),
 }
 # What a raw config without a preset must give: the fields without a default,
-# and omega, which an enabled input needs to be > 0.
+# and omega, which non-zero gains need to be > 0.
 REQUIRED = ("scenario.initial_mean", "model.qx", "model.qy", "model.input.omega")
 
 
