@@ -27,7 +27,6 @@ from .dynamics import (
     measurement_function,
     measurement_jacobian,
     predict_density,
-    predict_mean,
     process_noise_cov,
     salient_transform_density,
     salient_transform_state,

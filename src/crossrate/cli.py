@@ -11,8 +11,9 @@ Intensity curves come from `probability.intensity_curve`,
 `adaptive_sample` at the paper's steps, which are `probability`'s
 constants and no flags.  Only the campaigns (`simulate`, `ttc`,
 `compare`) draw random numbers, so only they take `--seed` and
-`--n-traj`.  All CSV numbers use locale-independent formatting with 9
-significant digits.
+`--n-traj`.  Each option has one parser, its argparse type (`--offset`
+builds a `SalientOffset`), so a bad value exits 2 before any work.  All
+CSV numbers use locale-independent formatting with 9 significant digits.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 I/O.
 """
@@ -191,21 +192,8 @@ def cmd_ttc(args, config):
     return config, {"ttc_histogram": str(hist_path), "ttc_seeds": str(seeds_path)}, {}
 
 
-def _parse_offsets(specs: list[str]) -> list[SalientOffset]:
-    offsets = []
-    for spec in specs:
-        parts = spec.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"offset must be 'dx,dy', got {spec!r}", "offset")
-        try:
-            offsets.append(SalientOffset(float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ConfigError(f"offset components must be numbers: {spec!r}", "offset") from None
-    return offsets
-
-
 def cmd_salient(args, config):
-    offsets = _parse_offsets(args.offset or ["0,0"])
+    offsets = args.offset or [SalientOffset(0.0, 0.0)]  # not a default: append would add to it
     ts = _grid(config.horizon, args.dt)
     per_offset = [[] for _ in offsets]
     for t in ts:
@@ -270,6 +258,15 @@ def _positive(text: str) -> float:
     return value
 
 
+def _offset(text: str) -> SalientOffset:
+    """argparse type of a salient offset: 'dx,dy', two finite numbers."""
+    try:
+        return SalientOffset(*map(float, text.split(",")))
+    except (TypeError, ValueError):
+        message = f"must be two finite numbers 'dx,dy', got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _positive_int(text: str) -> int:
     """argparse type of a count: an integer >= 1."""
     value = int(text)
@@ -322,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--offset",
         action="append",
+        type=_offset,
         help="body-frame offset 'dx,dy' (repeatable; default 0,0); write one that "
         "starts with '-' as --offset=DX,DY, e.g. --offset=-4,-0.9",
     )

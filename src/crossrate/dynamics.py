@@ -236,18 +236,10 @@ def input_increment(dt: float, model: MotionModel, t0: float = 0.0) -> np.ndarra
     return inc
 
 
-def predict_mean(
-    s: StateVector, dt: float, model: MotionModel, t0: float = 0.0
-) -> StateVector:
-    """Deterministic state propagation over dt starting at absolute time t0."""
-    arr = transition_matrix(dt) @ s.as_array() + input_increment(dt, model, t0)
-    return StateVector.from_array(arr)
-
-
 def predict_density(
     g: GaussianDensity, dt: float, model: MotionModel, t0: float = 0.0
 ) -> GaussianDensity:
-    """Predict a 6-dim Gaussian state density over dt."""
+    """Predict a 6-dim Gaussian state density over dt from absolute time t0."""
     if g.dim != STATE_DIM:
         raise ValueError(f"expected a {STATE_DIM}-dim density, got {g.dim}")
     phi = transition_matrix(dt)
@@ -388,11 +380,17 @@ def salient_transform_density(
     """Second-order linearization of the salient-point transformation.
 
     Full nonlinear map for the mean, Jacobian propagation for the
-    covariance.
+    covariance.  A transformed density that overflows raises NumericsError.
     """
     if g.dim != STATE_DIM:
         raise ValueError(f"expected a {STATE_DIM}-dim density, got {g.dim}")
     mean_state = StateVector.from_array(g.mean)
-    new_mean = salient_transform_state(mean_state, off, model, t).as_array()
-    jac = salient_jacobian(mean_state, off, model, t)
-    return GaussianDensity(new_mean, jac @ g.cov @ jac.T)  # the density symmetrizes it
+    # An entry that overflows here is reported by the density check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_mean = _salient_map(*_salient_args(mean_state, off, model, t))
+        jac = salient_jacobian(mean_state, off, model, t)
+        cov = jac @ g.cov @ jac.T  # the density symmetrizes it
+    try:
+        return GaussianDensity(new_mean, cov)
+    except ValueError as exc:  # it overflowed
+        raise NumericsError(f"transformed density is invalid: {exc}") from None

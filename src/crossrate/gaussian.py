@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.special import erfc, owens_t
+from scipy.special import erfc, erfcx, owens_t
 
 from .errors import DomainError, NumericsError
 
@@ -181,6 +181,43 @@ def _owen_term(x: float, y: float, rho: float, rho_bar: float) -> float:
     return p - r if x < 0.0 else -r
 
 
+def _gauss_legendre_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, n per panel, on the given panel edges."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    a, b = np.array(edges[:-1], dtype=float)[:, None], np.array(edges[1:], dtype=float)[:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
+
+
+# Nodes t and weights of _lower_quadrant's integral, in units of its decay scale
+_LQ_T, _LQ_W = _gauss_legendre_panels([0, 1, 2, 4, 8, 16, 40], 16)
+_LQ_T2 = _LQ_T * _LQ_T
+
+
+def _lower_quadrant(h: float, k: float, rho: float, rho_bar: float) -> float:
+    """bivariate_normal_cdf for h, k < 0 and rho < 0, as a sum of positive terms.
+
+    There each half of the Owen form is a difference of terms far larger
+    than the result, so it is evaluated as
+
+        Phi2(h, k) = int_{-inf}^h phi(x) Phi(u(x)) dx,  u = (k - rho x) / rho_bar < 0.
+
+    The integrand is log-concave: its log-slope at x = h is s > 0, and its
+    curvature lies between 0.63 / rho_bar^2 and 1 / rho_bar^2 (u <= 0).  In
+    t = (h - x) c, c = max(s, 1 / rho_bar), it therefore varies on a scale
+    of at least 1 and falls at least like e^-t or e^(-t^2 / 3): below e^-40
+    of its value at h by t = 40.  With Phi(u) = erfcx(z) e^(-z^2) / 2,
+    z = -u / sqrt(2) = z0 + z1 t, its exponent is a quadratic in t whose
+    constant part is factored out.
+    """
+    z0 = (rho * h - k) / (rho_bar * _SQRT2)
+    slope = -h - rho / rho_bar * math.sqrt(2.0 / math.pi) / float(erfcx(z0))
+    c = max(slope, 1.0 / rho_bar)
+    z1 = -rho / (rho_bar * _SQRT2 * c)
+    exponent = (h / c - 2.0 * z0 * z1) * _LQ_T - (0.5 / (c * c) + z1 * z1) * _LQ_T2
+    f = erfcx(z0 + z1 * _LQ_T) * np.exp(exponent)
+    return math.exp(-0.5 * h * h - z0 * z0) * float(_LQ_W @ f) / (2.0 * _SQRT2PI * c)
+
+
 def bivariate_normal_cdf(
     h: float, k: float, rho: float, rho_bar: float | None = None
 ) -> float:
@@ -194,15 +231,18 @@ def bivariate_normal_cdf(
     where beta = 1/2 if h k < 0 and 0 otherwise; Phi2(0, 0) = 1/4 +
     asin(rho) / (2 pi).  The constant parts of Phi(h) / 2, Phi(k) / 2 and
     beta are summed exactly first, so that no tail is the difference of
-    numbers near 1/4.  Pass `rho_bar` when it is known more precisely than
-    from a rounded rho, as sqrt(det) / (sigma_1 sigma_2) of a covariance;
-    it must be > 0.
+    numbers near 1/4.  In the joint lower tail with rho < 0 (h, k, rho < 0)
+    each half still cancels, and _lower_quadrant integrates instead.
+    Pass `rho_bar` when it is known more precisely than from a rounded rho,
+    as sqrt(det) / (sigma_1 sigma_2) of a covariance; it must be > 0.
     """
     h, k, rho = float(h), float(k), float(rho)
     if rho_bar is None:
         rho_bar = math.sqrt(max((1.0 - rho) * (1.0 + rho), 0.0))
     if not rho_bar > 0.0:
         raise DomainError(f"bivariate normal CDF needs |rho| < 1, got rho={rho}")
+    if h < 0.0 and k < 0.0 and rho < 0.0:
+        return _lower_quadrant(h, k, rho, rho_bar)
     if h == 0.0 and k == 0.0:
         return 0.25 + math.atan2(rho, rho_bar) / (2.0 * math.pi)
     opposite = h < 0.0 < k or k < 0.0 < h

@@ -37,12 +37,8 @@ _clamp_count = 0
 
 
 def clamp_count() -> int:
+    """Clamps so far in this process; read it before and after a run."""
     return _clamp_count
-
-
-def reset_clamp_count() -> None:
-    global _clamp_count
-    _clamp_count = 0
 
 
 def _clamp(value: float) -> float:
@@ -101,9 +97,10 @@ def _boundary_conditional(
     mu2, mu1 = cond.mean[:2].tolist()
     det = s11 * s22 - s12 * s12
     # every method divides by these; a degenerate density must fail loudly
-    # rather than read as a zero intensity
-    if s11 <= 0.0 or s22 <= 0.0 or det <= 0.0:
-        raise NumericsError("conditional covariance of (xdot, y) is singular")
+    # rather than read as a zero intensity, and so must one whose det
+    # overflows (inf - inf is nan in Python floats, without a warning)
+    if not (s11 > 0.0 and s22 > 0.0 and 0.0 < det < math.inf):
+        raise NumericsError("conditional covariance of (xdot, y) is singular or overflows")
     return _BoundaryConditional(
         pdf_x0=pdf_x0, mu1=mu1, mu2=mu2, s11=s11, s22=s22, s12=s12, det=det, y_lo=y_lo, y_hi=y_hi
     )

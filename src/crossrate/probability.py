@@ -170,28 +170,18 @@ def deterministic_ttc_seeds(
     return sorted(seeds, key=lambda st: st[1])
 
 
-def adaptive_sample(
-    evaluator,
-    seeds,
-    horizon: tuple[float, float],
-    dt1: float = COARSE_STEP,
-    dt2: float = FINE_STEP,
-    rate_floor: float = RATE_FLOOR,
-) -> RateCurve:
+def adaptive_sample(evaluator, seeds, horizon: tuple[float, float]) -> RateCurve:
     """Sample an intensity curve adaptively around its characteristic shape.
 
-    Evaluates at the seed times, starts from the strongest seed, marches
-    outward in dt1 steps until the intensity drops below rate_floor (or
-    the horizon edge), and refines with dt2 around every slope-sign
-    change detected while marching.
+    Evaluates at the seed times that lie in the horizon, starts from the
+    strongest seed, marches outward in COARSE_STEP steps until the
+    intensity drops below RATE_FLOOR (or the horizon edge), and refines
+    with FINE_STEP around every slope-sign change detected while marching.
 
-    `evaluator` maps a time to a RateSample; results are cached so no
-    time is evaluated twice and the evaluation count is exact.
+    `evaluator` maps a time to a RateSample.  Every time is rounded to
+    1e-12 s and taken only where it lies in the horizon; results are
+    cached so no time is evaluated twice and the evaluation count is exact.
     """
-    if not 0.0 < dt2 < dt1:
-        raise ValueError(f"need 0 < dt2 < dt1, got dt2={dt2}, dt1={dt1}")
-    if rate_floor <= 0.0:
-        raise ValueError(f"rate_floor must be > 0, got {rate_floor}")
     t1, t2 = horizon
     if not t1 < t2:
         raise ValueError(f"horizon must be a nondegenerate interval, got {horizon}")
@@ -199,17 +189,15 @@ def adaptive_sample(
     cache: dict[float, RateSample] = {}
 
     def ev(t: float) -> RateSample:
-        t = round(t, 12)
-        t = min(max(t, t1), t2)
         if t not in cache:
             cache[t] = evaluator(t)
         return cache[t]
 
-    seed_times = sorted({round(t, 12) for _, t in seeds if t1 <= t <= t2})
+    seed_times = sorted({r for _, t in seeds if t1 <= (r := round(t, 12)) <= t2})
     if not seed_times:
         # fallback coarse grid for curved approach paths without a
         # deterministic crossing time
-        seed_times = list(np.linspace(t1, t2, 8).round(12))
+        seed_times = list(np.linspace(t1, t2, 8).round(12).clip(t1, t2))
         if all(ev(t).mu_plus <= 0.0 for t in seed_times):
             ordered = sorted(cache)
             return RateCurve(
@@ -231,8 +219,8 @@ def adaptive_sample(
         prev_slope = 0.0
         k = 1
         while True:
-            t = start + direction * k * dt1
-            if t < t1 or t > t2:
+            t = round(start + direction * k * COARSE_STEP, 12)
+            if not t1 <= t <= t2:
                 break
             v = ev(t).mu_plus
             slope = (v - prev_v) * direction
@@ -240,7 +228,7 @@ def adaptive_sample(
                 sign_changes.append(prev_t)
             prev_slope = slope
             prev_t, prev_v = t, v
-            if v < rate_floor:
+            if v < RATE_FLOOR:
                 break
             k += 1
 
@@ -248,9 +236,9 @@ def adaptive_sample(
     march(-1)
 
     for c in sign_changes:
-        n = int(round(2.0 * dt1 / dt2))
-        for t in (c - dt1 + i * dt2 for i in range(n + 1)):
-            if t1 <= round(t, 12) <= t2:
+        n = int(round(2.0 * COARSE_STEP / FINE_STEP))
+        for t in (round(c - COARSE_STEP + i * FINE_STEP, 12) for i in range(n + 1)):
+            if t1 <= t <= t2:
                 ev(t)
 
     ordered = sorted(cache)

@@ -48,24 +48,24 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.horizon <= 0:
-            raise ConfigError("horizon must be > 0", "horizon")
+            raise ConfigError("must be > 0", "scenario.horizon")
         if self.sim_step <= 0:
-            raise ConfigError("sim_step must be > 0", "sim_step")
+            raise ConfigError("must be > 0", "scenario.sim_step")
         if self.sim_step > self.bin_width:
-            raise ConfigError("sim_step must be <= bin_width", "sim_step")
+            raise ConfigError("must be <= bin_width", "scenario.sim_step")
         if self.n_traj < 1:
-            raise ConfigError("n_traj must be >= 1", "n_traj")
+            raise ConfigError("must be >= 1", "scenario.n_traj")
         if not 0 <= self.seed < 2**64:  # the Philox key is uint64
-            raise ConfigError("seed must be in [0, 2**64)", "seed")
+            raise ConfigError("must be in [0, 2**64)", "scenario.seed")
         if self.initial_cov is not None:
             cov = np.asarray(self.initial_cov, dtype=float)
             if cov.shape != (6, 6) or not np.isfinite(cov).all():
-                raise ConfigError("initial_cov must be a finite 6x6 matrix", "initial_cov")
+                raise ConfigError("must be a finite 6x6 matrix", "scenario.initial_cov")
             object.__setattr__(self, "initial_cov", cov)
             try:  # symmetric and PSD, to GaussianDensity's tolerance
                 self._initial_density
             except ValueError as exc:
-                raise ConfigError(str(exc), "initial_cov") from None
+                raise ConfigError(str(exc), "scenario.initial_cov") from None
 
     def resolve_initial_cov(self) -> np.ndarray:
         """P0, read-only: initial_cov, or the steady-state Riccati solution."""
@@ -227,15 +227,21 @@ def build_config(raw: dict) -> ScenarioConfig:
         raw = _deep_merge(preset_raw(str(raw["preset"])), overrides)
     scenario = _parse(raw.get("scenario", {}), "scenario", _SCENARIO, ("initial_mean",))
     model = _parse(raw.get("model", {}), "model", _MODEL, ("qx", "qy"))
+    model.update(model.pop("input", {}))  # MotionModel takes the input's keys flat
+    return ScenarioConfig(
+        **scenario,
+        model=_build("model", MotionModel, **model),
+        radar=_build("radar", RadarNoise, **_parse(raw.get("radar", {}), "radar", _RADAR)),
+        rect=_build("rect", HostRectangle, **_parse(raw.get("rect", {}), "rect", _RECT)),
+    )
+
+
+def _build(section: str, cls, **values):
+    """cls(**values), a range it rejects named by its config section."""
     try:
-        return ScenarioConfig(
-            **scenario,
-            model=MotionModel(qx=model["qx"], qy=model["qy"], **model.get("input", {})),
-            radar=RadarNoise(**_parse(raw.get("radar", {}), "radar", _RADAR)),
-            rect=HostRectangle(**_parse(raw.get("rect", {}), "rect", _RECT)),
-        )
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(str(exc), "config") from exc
+        raise ConfigError(str(exc), section) from None
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

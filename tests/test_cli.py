@@ -380,22 +380,16 @@ class TestSalient:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["offsets"] == [[-4.0, -0.9]]
 
-    def test_bad_offset_exit_2(self, tmp_path):
-        assert (
-            main(
-                [
-                    "salient",
-                    "--preset",
-                    "front",
-                    "--offset",
-                    "1;2",
-                    "--out-dir",
-                    str(tmp_path),
-                ]
-            )
-            == 2
-        )
-
+    def test_bad_offset_exit_2(self, tmp_path, capsys):
+        """argparse rejects an offset that is not two finite numbers."""
+        out = tmp_path / "out"
+        for offset in ["1;2", "1,2,3", "inf,0", "a,0"]:
+            with pytest.raises(SystemExit) as exc:
+                main(["salient", "--preset", "front", "--offset", offset, "--out-dir", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"--offset: must be two finite numbers 'dx,dy', got '{offset}'" in err
+        assert not out.exists()
 
     def test_predicts_each_time_once(self, tmp_path, monkeypatch):
         """Every offset transforms the one density predicted at each time."""
@@ -491,12 +485,15 @@ class TestErrorPaths:
             (["compare", "--n-traj", "10"], HUGE_STEP),
             (["intensity", "--dt", "1.0e+62"], HUGE_STEP),
             (["salient", "--dt", "1.0e+62"], HUGE_STEP),
+            (["salient", "--dt", "0.5", "--offset=1e300,0"], ""),
+            (["salient", "--dt", "0.5", "--offset=0,1e300"], ""),
         ],
         ids=["intensity-huge-p0", "simulate-huge-step", "compare-huge-step",
-             "intensity-huge-step", "salient-huge-step"],
+             "intensity-huge-step", "salient-huge-step", "salient-huge-dx", "salient-huge-dy"],
     )
     def test_overflowing_prediction_exit_3(self, tmp_path, capsys, argv, scenario):
-        """A prediction that overflows is a numerical failure, reported in one line."""
+        """A prediction, or a salient transform, that overflows is a numerical
+        failure, reported in one line."""
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"preset: front\n{scenario}\n")
         assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3

@@ -1,6 +1,7 @@
 """Gaussian algebra: construction invariants, marginalize, condition, cdf."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -334,7 +335,57 @@ def scipy_bivariate_cdf(h, k, rho):
     return stats.multivariate_normal(cov=cov, allow_singular=True).cdf([h, k])
 
 
+def lower_quadrant_reference(h, k, rho) -> float:
+    """Phi2(h, k; rho) for h, k, rho < 0 at 30 digits.
+
+    int_{-inf}^h phi(x) Phi((k - rho x) / rho_bar) dx by mpmath Gauss-Legendre
+    on panels of half the integrand's decay scale 1 / c, c = max(its log-slope
+    at x = h, 1 / rho_bar), from h - 40 / c, where the integrand has fallen
+    below e^-40 of its value at h.
+    """
+    with mpmath.workdps(30):
+        h, k, rho = mpmath.mpf(h), mpmath.mpf(k), mpmath.mpf(rho)
+        rho_bar = mpmath.sqrt((1 - rho) * (1 + rho))
+        u = (k - rho * h) / rho_bar
+        c = max(-h - rho / rho_bar * mpmath.npdf(u) / mpmath.ncdf(u), 1 / rho_bar)
+        cuts = [h - mpmath.mpf(j) / (2 * c) for j in range(80, -1, -1)]
+        integrand = lambda x: mpmath.npdf(x) * mpmath.ncdf((k - rho * x) / rho_bar)  # noqa: E731
+        return float(mpmath.quad(integrand, cuts, method="gauss-legendre"))
+
+
+# The front-right corner (x_front, y_right) of the spatial overlap at t = 1.625 s
+LOWER_TAIL_CORNER = (-14.714934308524453, -13.926549768731524, -0.24332139145101825)
+
+
 class TestBivariateNormalCdf:
+    def test_lower_tail_corner(self):
+        """The Owen form gave 3.1e-89 here, and -5.6e-87 after a last-bit change of h.
+
+        The reference is the 40-digit value of the same integral on panels of a
+        quarter of its decay scale; the integral over y instead of x agrees with it
+        to 28 digits.
+        """
+        got = bivariate_normal_cdf(*LOWER_TAIL_CORNER)
+        assert got == pytest.approx(7.8795809273505378e-122, rel=1e-10, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        h=st.floats(-35.0, 0.0, exclude_max=True),
+        k=st.floats(-35.0, 0.0, exclude_max=True),
+        rho=st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+    )
+    @example(*LOWER_TAIL_CORNER)
+    @example(-0.01, -8.0, -0.5)
+    @example(-30.0, -1.0, -0.1)
+    @example(-0.001, -0.001, -0.999999)
+    def test_lower_quadrant_matches_mpmath(self, h, k, rho):
+        """In the joint lower tail with rho < 0 the value is never negative and
+        keeps its relative accuracy down to the bottom of the normal range."""
+        got = bivariate_normal_cdf(h, k, rho)
+        want = lower_quadrant_reference(h, k, rho)
+        assert got >= 0.0
+        assert abs(got - want) <= 1e-11 * want + 1e-300
+
     @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.999])
     def test_both_zero(self, rho):
         expected = 0.25 + math.asin(rho) / (2 * math.pi)

@@ -10,6 +10,7 @@ from scipy import integrate
 
 import crossrate as cr
 from crossrate import (
+    DomainError,
     GaussianDensity,
     HostRectangle,
     MotionModel,
@@ -19,6 +20,7 @@ from crossrate import (
     normal_cdf,
     intensity_curve,
     normal_pdf,
+    predict_density,
     preset_config,
     salient_transform_density,
     segment_intensity,
@@ -30,7 +32,6 @@ from crossrate.intensity import (
     RateSample,
     _boundary_conditional,
     clamp_count,
-    reset_clamp_count,
     segment_intensity_quadrature,
 )
 
@@ -318,7 +319,6 @@ class TestTaylorForms:
             assert err_cov < err_inv
 
     def test_clamp_counter_tracks_negative_truncation(self):
-        reset_clamp_count()
         base = clamp_count()
         # extreme correlation far in a tail can push the first-order form
         # negative; a clean case must not increment the counter
@@ -506,6 +506,43 @@ class TestDegenerateDensities:
         else:
             g = degenerate_density(correlated_y_xdot(1.0 - 1e-14))
             assert 0.0 < total_intensity(g, RECT, 0.0, method).mu_plus < math.inf
+
+
+# the presets' jerk input, so that the salient map's jerk terms are exercised
+DEGENERATE_MODEL = MotionModel(qx=0.0101, qy=0.0101, b1=-0.2, b2=-0.3, omega=0.5)
+EXTREME = st.sampled_from([0.0, 4.0, -0.9, 1e150, -1e150, 1e300, -1e300])
+
+
+class TestDegenerateDensitiesOneLevelUp:
+    """ROADMAP item 6: the same property through predict_density and
+    salient_transform_density, with offsets up to 1e300: each gives a
+    finite density or raises NumericsError or DomainError, and every method
+    on the result gives a finite intensity >= 0 or NumericsError.  Never a
+    ValueError or a RuntimeWarning."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=degenerate_densities(),
+        dt=st.floats(0.0, 100.0) | st.sampled_from([1e30, 1e62]),
+        off=st.tuples(st.floats(-10.0, 10.0) | EXTREME, st.floats(-10.0, 10.0) | EXTREME),
+    )
+    @example(g=degenerate_density(np.eye(6)), dt=0.5, off=(1e300, 0.0))
+    @example(g=degenerate_density(np.eye(6)), dt=0.5, off=(0.0, -1e300))
+    @example(g=degenerate_density(DEGENERATE_PINS["zero covariance"]), dt=0.0, off=(-4.0, -0.9))
+    def test_finite_or_loud(self, g, dt, off):
+        try:
+            g_t = predict_density(g, dt, DEGENERATE_MODEL, 1.0)
+            g_s = salient_transform_density(g_t, SalientOffset(*off), DEGENERATE_MODEL, 1.0 + dt)
+        except (NumericsError, DomainError):
+            return
+        assert np.isfinite(g_s.mean).all() and np.isfinite(g_s.cov).all()
+        for method in METHODS:
+            try:
+                sample = total_intensity(g_s, RECT, 1.0 + dt, method)
+            except NumericsError:
+                continue
+            values = list(sample.per_segment.values())
+            assert all(math.isfinite(v) and v >= 0.0 for v in values), (method, values)
 
 
 class TestSalientComparison:

@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossrate import (
+    GaussianDensity,
     HostRectangle,
     MotionModel,
     ScenarioConfig,
     StateVector,
     chord_crossings,
-    predict_mean,
+    predict_density,
     preset_config,
     run_campaign,
     ttc_config,
@@ -158,8 +159,9 @@ class TestSimulateTrajectory:
         side, time = first_entry(c, t)
         assert side == "front"
         assert time == 0.625
-        at_entry = predict_mean(cfg.initial_mean, time, cfg.model)  # the zero-noise path
-        assert (at_entry.x, at_entry.y) == (0.0, 1.0)
+        point = GaussianDensity(cfg.initial_mean.as_array(), np.zeros((6, 6)))
+        at_entry = predict_density(point, time, cfg.model).mean  # the zero-noise path
+        assert (at_entry[0], at_entry[1]) == (0.0, 1.0)
 
     def test_diagonal_corner_graze_has_no_events(self):
         # the line x + y = 1 touches the rectangle at the front-right corner only

@@ -262,6 +262,12 @@ def rejection_cases():
     yield "scenario.initial_cov", cov, "scenario.initial_cov"
     yield "scenario.initial_cov", [[1.0] * 6] * 5, "initial_cov"
     yield "scenario.initial_cov", [[1.0] * 6] * 5 + [[1.0] * 5], "scenario.initial_cov"
+    # a range error starts with the section.key, or with the section of a
+    # model, radar or rect value, whose message names the field
+    yield "scenario.horizon", 0.0, "scenario.horizon: must be > 0"
+    yield "model.qx", -1.0, "model: jerk PSDs must be >= 0, got qx=-1.0"
+    yield "radar.sigma_r", 0.0, "radar: sigma_r must be > 0"
+    yield "rect.x_rear", 1.0, "rect: x_rear (1.0) must be < x_front (0.5)"
 
 
 class TestSchema:
@@ -386,7 +392,7 @@ class TestInitialCovAndSeed:
     def test_bad_initial_cov_rejected_at_build(self, cov, why):
         with pytest.raises(ConfigError, match=why) as exc:
             preset_config("front", initial_cov=cov)
-        assert exc.value.field == "initial_cov"
+        assert exc.value.field == "scenario.initial_cov"
 
     def test_asymmetric_cov_from_yaml(self, tmp_path):
         cov = np.eye(6)
