@@ -187,6 +187,26 @@ def chord_crossings(p0, p1, rect: HostRectangle) -> ChordCrossings:
     return found.select(~drop)
 
 
+def box_meets_boundary(lo, hi, rect: HostRectangle) -> np.ndarray:
+    """Whether the boxes [lo, hi] ((..., 2) arrays of x, y) meet the rectangle's sides.
+
+    A box meets them when it meets the closed rectangle and does not lie
+    in its open interior; a path that stays in a box that does not can
+    cross no side.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    meets = (
+        (lo[..., 0] <= rect.x_front) & (hi[..., 0] >= rect.x_rear)
+        & (lo[..., 1] <= rect.y_right) & (hi[..., 1] >= rect.y_left)
+    )
+    inside = (
+        (lo[..., 0] > rect.x_rear) & (hi[..., 0] < rect.x_front)
+        & (lo[..., 1] > rect.y_left) & (hi[..., 1] < rect.y_right)
+    )
+    return meets & ~inside
+
+
 def quadratic_roots(a, b, c) -> np.ndarray:
     """Real roots of a t^2 + b t + c = 0, elementwise, as (..., 2), NaN if none.
 

@@ -11,14 +11,32 @@ most one per batch, and merges their counts strictly in batch order; one
 worker runs them in the calling process.  Linux is the supported
 platform: fork is safe there and ru_maxrss is in KiB.  At most two
 batches per worker are in flight, so memory is bounded whatever the
-trajectory count.  A campaign batch goes through the horizon a chunk of
-steps at a time, noise drawn into reused buffers and the chunk's chords
-sent through geometry.chord_crossings in one call, so memory does not
-grow with the horizon either.
+trajectory count.
 
-Per-trajectory noise comes from counter-based Philox streams keyed by
-(campaign seed, trajectory id), so results are bit-identical regardless
-of batching, step chunking or worker count.
+A campaign samples the fine path, the states at multiples of sim_step,
+but propagates each batch on coarse steps of _COARSE fine steps, with the
+exact transition, noise and input increment of the coarse step; a last
+step of fewer fine steps gets its own.  A coarse chord is refined only
+where its bounding box, grown on each axis by the largest deviation of
+its bridge mean (the mean of the fine path given the chord's two end
+states) from the chord, plus _SIGMAS standard deviations of the bridge
+position, meets the rectangle's boundary.  Elsewhere the fine path can
+cross a side only by straying that far from its bridge mean, which a
+chord's 2 x 9 inner coordinates do with probability below 3e-14.  A
+refined chord's inner fine states are drawn given its ends by Matheron's
+rule, x(t_i) = x~(t_i) + C_i (x_end - x~_end), with x~ a free fine path
+from its start and C_i = Cov(x_i, x_end | start) Cov(x_end | start)^-1,
+precomputed per campaign.  geometry.chord_crossings then runs on the
+fine chords, so the crossings have the law of a simulation on every fine
+step.  A batch goes through the horizon _STEP_CHUNK coarse steps at a
+time, in reused buffers, so memory does not grow with the horizon either.
+
+Noise comes from counter-based Philox streams, so a trajectory's draws,
+and the counts, do not depend on batching, step chunking or worker
+count.  Trajectory j draws its initial state and its coarse-step noise
+from the stream keyed (seed, j); the inner states of its coarse step k
+come from the stream keyed (seed, 2**63 + j) from counter (0, k, 0, 0),
+drawn only for the chords that are refined.
 """
 from __future__ import annotations
 
@@ -29,18 +47,28 @@ import resource
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .dynamics import input_increment, process_noise_cov, transition_matrix
 from .errors import ConfigError
 from .gaussian import psd_factor
-from .geometry import SEGMENT_ORDER, ChordCrossings, chord_crossings, first_path_entry, segments
+from .geometry import (
+    SEGMENT_ORDER,
+    ChordCrossings,
+    box_meets_boundary,
+    chord_crossings,
+    first_path_entry,
+    segments,
+)
 from .scenarios import ScenarioConfig
 
 _BATCH_SIZE = 4096  # fixed by the algorithm, not by the worker count
-_STEP_CHUNK = 64  # steps of noise held per batch at once; bounds memory only
+_COARSE = 10  # fine steps (sim_step) per coarse step
+_STEP_CHUNK = 40  # coarse steps of noise held per batch at once; bounds memory only
+_SIGMAS = 8.0  # the margin's allowance for bridge noise, in sd of the bridge position
+_SLACK = 1e-9  # m added to every margin, so that rounding cannot drop a chord that touches
 # fork starts workers fast and carries the parent's state, module patches included;
 # OpenBLAS stops its threads before a fork, so the parent forks single-threaded
 _MP_CONTEXT = multiprocessing.get_context("fork")
@@ -91,10 +119,45 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**10
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands np.random.Philox its key as is.
+
+    Philox(key=...) first draws OS entropy for a seed sequence that it then
+    throws away; seeding Philox with this gives the same stream in half the
+    time.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def _traj_rng(seed: int, traj_id: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, traj_id], dtype=np.uint64))
-    )
+    """The stream of trajectory traj_id: initial state, then coarse-step noise."""
+    key = np.array([seed, traj_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
+def _bridge_normals(seed: int, traj_ids, steps, out: np.ndarray) -> None:
+    """Fill out[f] with normals of the bridge stream of coarse step steps[f]
+    of trajectory traj_ids[f].
+
+    That stream is Philox keyed (seed, 2**63 + traj_id) from counter
+    (0, step, 0, 0): each coarse step's bridge draws are a stream of their
+    own, 2**64 blocks long.  One Philox is re-keyed per stream, at a third
+    of the cost of building one.
+    """
+    bits = np.random.Philox(_PhiloxKey(np.array([seed, 0], dtype=np.uint64)))
+    normals = np.random.Generator(bits)
+    state = bits.state  # a fresh stream's: empty buffer, counter 0
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    for f, (traj_id, step) in enumerate(zip(traj_ids, steps)):
+        key[1] = 2**63 + traj_id
+        counter[1] = step
+        bits.state = state
+        normals.standard_normal(out=out[f])
 
 
 def _batches(n_traj: int):
@@ -120,60 +183,228 @@ def _initial_states(config: ScenarioConfig, rngs: Iterable[np.random.Generator])
     return np.fromiter(rows, dtype=(float, 6))
 
 
-def _step_kernel(config: ScenarioConfig):
-    """Precomputed per-step propagation pieces (shared by all trajectories).
+class _Pieces(NamedTuple):
+    """The exact pieces of a run of `n` coarse steps of `m` fine steps each.
 
-    Φᵀ is stored C-contiguous, which makes `x @ phi_t` about 3x faster with
-    the same bits; row k of `u` is the input increment of step k, zero when
-    the input is off.
+    States are rows, so `x @ phi_t` is Φ(m dt) x.  The inner times of a
+    coarse step lie i dt, i = 1 .. m - 1, after its start, and column
+    2 (i - 1) + axis of every (…, 2 (m - 1)) piece is inner time i's
+    position on that axis.  The Matheron gains C_i = Q(i dt) Φ((m - i) dt)ᵀ
+    Q(m dt)⁻¹ do not depend on the jerk PSDs; an axis without noise has none.
     """
+
+    first: int  # index of the run's first coarse step
+    n: int  # coarse steps in the run
+    m: int  # fine steps per coarse step
+    phi_t: np.ndarray  # (6, 6) Φ(m dt)ᵀ, C-contiguous: x @ phi_t is then 3x faster
+    chol_q_t: np.ndarray  # (6, 6) Lᵀ with L Lᵀ = Q(m dt)
+    u: np.ndarray | None  # (n, 6) input increment of each coarse step; None with the input off
+    inner_t: np.ndarray  # (6, 2 (m - 1)) inner positions of Φ(i dt) x
+    u_inner: np.ndarray | None  # (n, 2 (m - 1)) their input increments
+    # (6 m, 2 (m - 1) + 6) free-path noise at the inner positions and at the
+    # end, from the fine steps' m x 6 normals; None without process noise
+    noise_t: np.ndarray | None
+    gain_t: np.ndarray  # (6, 2 (m - 1)) position rows of the C_i, transposed
+    dev: np.ndarray  # (2, 2 (m - 1), 6) bridge mean less the chord, from the start and the end
+    dev_u: np.ndarray | None  # (n, 2 (m - 1)) its input part
+    reach: np.ndarray  # (2,) _SIGMAS bridge position sd per axis, plus _SLACK
+
+
+def _pieces(config: ScenarioConfig, first: int, n: int, m: int) -> _Pieces:
+    """_Pieces of coarse steps first .. first + n - 1, each of m fine steps."""
     dt = config.sim_step
-    n = config.n_steps
-    phi_t = np.ascontiguousarray(transition_matrix(dt).T)
-    chol_q_t = psd_factor(process_noise_cov(dt, config.model)).T
-    u = np.zeros((n, 6))
-    if config.model.input_enabled:
-        for k in range(n):
-            u[k] = input_increment(dt, config.model, t0=k * dt)
-    return phi_t, chol_q_t, u
+    model = config.model
+    phi = [transition_matrix(i * dt) for i in range(m + 1)]
+    unit_model = dataclasses.replace(model, qx=1.0, qy=1.0)
+    unit = [process_noise_cov(i * dt, unit_model) for i in range(m + 1)]
+    psd = np.tile([model.qx, model.qy], 3)
+    s = 1.0 / np.sqrt(np.diag(unit[m]))  # Jacobi scaling: Q(m dt) spans dt^5 .. dt
+    q_inv = s[:, np.newaxis] * np.linalg.inv(s[:, np.newaxis] * unit[m] * s) * s
+    gains = [unit[i] @ phi[m - i].T @ q_inv * (psd > 0.0)[:, np.newaxis] for i in range(1, m)]
+    bridge_var = [
+        np.diag(unit[i] - c @ phi[m - i] @ unit[i])[:2] * psd[:2]
+        for i, c in enumerate(gains, start=1)
+    ]
+    sd = np.sqrt(np.clip(np.max(bridge_var, axis=0, initial=0.0), 0.0, None))
+
+    inner_t = np.hstack([phi[i][:2].T for i in range(1, m)] or [np.zeros((6, 0))])
+    gain_t = np.hstack([c[:2].T for c in gains] or [np.zeros((6, 0))])
+    frac = np.repeat(np.arange(1, m) / m, 2)
+    on_axis = np.zeros((6, 2 * (m - 1)))
+    on_axis[0, 0::2] = on_axis[1, 1::2] = 1.0
+    dev = np.stack(
+        (inner_t - phi[m].T @ gain_t - on_axis * (1.0 - frac), gain_t - on_axis * frac)
+    ).transpose(0, 2, 1).copy()
+
+    noise_t = None
+    if model.qx > 0.0 or model.qy > 0.0:
+        chol_t = psd_factor(process_noise_cov(dt, model)).T
+        free = np.zeros((6 * m, 6 * m))  # row block j: step j + 1's normals; column block i: time i + 1
+        for j in range(m):
+            for i in range(j, m):
+                free[6 * j : 6 * j + 6, 6 * i : 6 * i + 6] = chol_t @ phi[i - j].T
+        keep = [6 * i + a for i in range(m - 1) for a in (0, 1)] + list(range(6 * m - 6, 6 * m))
+        noise_t = free[:, keep]
+
+    u = u_inner = dev_u = None
+    if model.input_enabled:
+        starts = (first + np.arange(n)) * _COARSE * dt
+        u = np.array([input_increment(m * dt, model, t0) for t0 in starts])
+        u_inner = np.array(
+            [np.ravel([input_increment(i * dt, model, t0)[:2] for i in range(1, m)]) for t0 in starts]
+        ).reshape(n, 2 * (m - 1))
+        dev_u = u_inner - u @ gain_t
+    return _Pieces(
+        first=first,
+        n=n,
+        m=m,
+        phi_t=np.ascontiguousarray(phi[m].T),
+        chol_q_t=psd_factor(process_noise_cov(m * dt, model)).T,
+        u=u,
+        inner_t=inner_t,
+        u_inner=u_inner,
+        noise_t=noise_t,
+        gain_t=gain_t,
+        dev=dev,
+        dev_u=dev_u,
+        reach=_SIGMAS * sd + _SLACK,
+    )
+
+
+def _step_kernel(config: ScenarioConfig) -> tuple[_Pieces, ...]:
+    """The runs of coarse steps: n_steps // _COARSE full ones, then one for the rest."""
+    full, rest = divmod(config.n_steps, _COARSE)
+    runs = (_pieces(config, 0, full, _COARSE),) if full else ()
+    return runs + ((_pieces(config, full, 1, rest),) if rest else ())
+
+
+def _near(config: ScenarioConfig, p: _Pieces, xs: np.ndarray, k0: int) -> np.ndarray:
+    """Which coarse chords xs[k] -> xs[k + 1] may have a fine path that crosses a side.
+
+    `xs` (k + 1, b, 6) holds the states at the run's coarse steps k0 ..
+    k0 + k.  A chord is flagged where its bounding box, grown on each
+    axis by its bridge mean's largest deviation from the chord plus
+    p.reach, meets the rectangle's boundary: a fine path through its ends
+    that stays in that box can cross no side.  Returns a (k, b) bool array.
+    """
+    k, b = len(xs) - 1, xs.shape[1]
+    d = np.empty((2, 2 * (p.m - 1), b))  # (start part, end part) x inner column x row
+    near = np.empty((k, b), dtype=bool)
+    for i in range(k):  # a step at a time: the buffers stay in cache
+        np.matmul(p.dev[0], xs[i].T, out=d[0])
+        np.matmul(p.dev[1], xs[i + 1].T, out=d[1])
+        dev = d[0]
+        dev += d[1]
+        if p.dev_u is not None:
+            dev += p.dev_u[k0 + i, :, np.newaxis]
+        np.abs(dev, out=dev)
+        grow = dev.reshape(p.m - 1, 2, b).max(axis=0, initial=0.0).T + p.reach
+        p0, p1 = xs[i, :, :2], xs[i + 1, :, :2]
+        lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
+        near[i] = box_meets_boundary(lo - grow, hi + grow, config.rect)
+    return near
+
+
+def _inner_positions(config, p: _Pieces, start, end, steps, traj_ids) -> np.ndarray:
+    """Positions (n, m - 1, 2) at the inner times of n coarse chords, given their ends.
+
+    Chord f runs from state start[f] to end[f] over the run's coarse step
+    steps[f] of trajectory traj_ids[f].  Matheron's rule draws its inner
+    states as x(t_i) = x~(t_i) + C_i (x_end - x~_end), with x~ a free fine
+    path from its start whose noise comes from the chord's bridge stream.
+    """
+    free_inner = start @ p.inner_t
+    free_end = start @ p.phi_t
+    if p.u is not None:
+        free_inner += p.u_inner[steps]
+        free_end += p.u[steps]
+    if p.noise_t is not None:
+        z = np.empty((len(start), 6 * p.m))
+        _bridge_normals(config.seed, traj_ids, (p.first + steps).tolist(), z)
+        eps = z @ p.noise_t
+        free_inner += eps[:, :-6]
+        free_end += eps[:, -6:]
+    inner = free_inner + (end - free_end) @ p.gain_t
+    return inner.reshape(len(start), p.m - 1, 2)
+
+
+def _fill(config, p: _Pieces, xs: np.ndarray, k0: int, near: np.ndarray, traj_ids):
+    """Crossings of the fine paths of the coarse chords that `near` (k, b) flags.
+
+    `xs` and `k0` are as for _near.  Fine chord i of coarse step s of
+    row j gets index (s * _COARSE + i) * b + j, the index of the fine step
+    it covers.
+    """
+    b = xs.shape[1]
+    cols, rows = np.nonzero(near)
+    start, end = xs[cols, rows], xs[cols + 1, rows]
+    steps = k0 + cols
+    ids = [traj_ids[j] for j in rows.tolist()]
+    path = np.concatenate(
+        (
+            start[:, np.newaxis, :2],
+            _inner_positions(config, p, start, end, steps, ids),
+            end[:, np.newaxis, :2],
+        ),
+        axis=1,
+    )
+    c = chord_crossings(path[:, :-1].reshape(-1, 2), path[:, 1:].reshape(-1, 2), config.rect)
+    f, i = np.divmod(c.chord, p.m)
+    return c._replace(chord=((p.first + steps[f]) * _COARSE + i) * b + rows[f])
+
+
+def _coarse_states(p: _Pieces, x: np.ndarray, rngs: list[np.random.Generator]):
+    """Propagate the rows of x (b, 6) over the coarse steps of run p.
+
+    Yields (k0, xs) per chunk of at most _STEP_CHUNK steps, with xs
+    (k + 1, b, 6) the states at the run's coarse steps k0 .. k0 + k, the
+    first the last of the chunk before: a view of a buffer that the next
+    chunk reuses.  Row j's noise comes from rngs[j], which yields the
+    same stream it would in one draw of the whole run.
+    """
+    b = len(x)
+    chunk = min(_STEP_CHUNK, p.n)
+    z = np.empty((b, chunk, 6))
+    w = np.empty((b, chunk, 6))
+    xs = np.empty((chunk + 1, b, 6))
+    xs[0] = x
+    for k0 in range(0, p.n, chunk):
+        k = min(chunk, p.n - k0)
+        for j, rng in enumerate(rngs):
+            rng.standard_normal(out=z[j, :k])
+        np.matmul(z[:, :k], p.chol_q_t, out=w[:, :k])
+        for i in range(k):
+            x = x @ p.phi_t
+            if p.u is not None:
+                x += p.u[k0 + i]
+            x += w[:, i]
+            xs[i + 1] = x
+        yield k0, xs[: k + 1]
+        xs[0] = x
 
 
 def _stream_crossings(
-    config: ScenarioConfig, x: np.ndarray, rngs: list[np.random.Generator], kernel
+    config: ScenarioConfig, x: np.ndarray, rngs: list[np.random.Generator], traj_ids, kernel
 ) -> ChordCrossings:
     """Propagate a batch to the horizon and return all its crossings.
 
-    `x` (b, 6) holds the initial states and `rngs` one generator per row,
-    already past its initial-state draw.  The chord from step k to k + 1
-    of row j has index k * b + j.  Noise is drawn and transformed
-    _STEP_CHUNK steps at a time into reused buffers, so memory does not
-    grow with the horizon; each generator yields the same stream it would
-    in one draw of the whole horizon.
+    `x` (b, 6) holds the initial states, `rngs` one generator per row,
+    already past its initial-state draw, and `traj_ids` the rows'
+    trajectory ids, which key their bridge streams.  The batch moves on
+    the coarse steps of `kernel`, and _fill fills in the fine path of
+    each coarse chord that _near flags.  The chord from fine step k to
+    k + 1 of row j has index k * b + j, and the crossings come ordered by
+    chord.  Memory does not grow with the horizon: the batch goes
+    through it _STEP_CHUNK coarse steps at a time, in reused buffers.
     """
-    phi_t, chol_q_t, u = kernel
-    n_steps = config.n_steps
-    chunk = min(_STEP_CHUNK, n_steps)
     b = len(x)
-    z = np.empty((b, chunk, 6))
-    w = np.empty((b, chunk, 6))
-    pos = np.empty((chunk + 1, b, 2))
-    pos[0] = x[:, :2]
     found = []
-    for k0 in range(0, n_steps, chunk):
-        m = min(chunk, n_steps - k0)
-        for j, rng in enumerate(rngs):
-            rng.standard_normal(out=z[j, :m])
-        np.matmul(z[:, :m], chol_q_t, out=w[:, :m])
-        for i in range(m):
-            x = x @ phi_t
-            x += u[k0 + i]
-            x += w[:, i]
-            pos[i + 1] = x[:, :2]
-        # the (m, b, 2) chunk flattened row-major: chord (k - k0) * b + j
-        c = chord_crossings(pos[:m].reshape(-1, 2), pos[1 : m + 1].reshape(-1, 2), config.rect)
-        found.append(c._replace(chord=c.chord + k0 * b))
-        pos[0] = pos[m]
-    return ChordCrossings(*(np.concatenate(arrays) for arrays in zip(*found)))
+    for p in kernel:
+        for k0, xs in _coarse_states(p, x, rngs):
+            found.append(_fill(config, p, xs, k0, _near(config, p, xs, k0), traj_ids))
+        x = xs[-1].copy()
+    c = ChordCrossings(*(np.concatenate(arrays) for arrays in zip(*found)))
+    return c.select(np.argsort(c.chord, kind="stable"))
 
 
 def _by_row(c: ChordCrossings, b: int, config: ScenarioConfig):
@@ -204,7 +435,7 @@ def _simulate_batch(config: ScenarioConfig, traj_ids: range, kernel):
     b = len(traj_ids)
     rngs = [_traj_rng(config.seed, tid) for tid in traj_ids]
     x = _initial_states(config, rngs)
-    c, row, t = _by_row(_stream_crossings(config, x, rngs, kernel), b, config)
+    c, row, t = _by_row(_stream_crossings(config, x, rngs, traj_ids, kernel), b, config)
     row, seg, t = row[c.entry], c.segment[c.entry], t[c.entry]
 
     first = np.ones(len(row), dtype=bool)

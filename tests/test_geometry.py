@@ -10,7 +10,7 @@ from crossrate import (
     segments,
     to_segment_frame,
 )
-from crossrate.geometry import SEGMENT_ORDER, first_path_entry
+from crossrate.geometry import SEGMENT_ORDER, box_meets_boundary, first_path_entry
 
 RECT = HostRectangle(0.0, -5.0, -1.0, 1.0)
 
@@ -303,6 +303,34 @@ class TestChordCrossings:
         ]
         assert got == want
         assert len(want) > 500
+
+
+class TestBoxMeetsBoundary:
+    @pytest.mark.parametrize(
+        "lo, hi, meets",
+        [
+            ((2.0, 2.0), (3.0, 3.0), False),  # outside
+            ((-4.0, -0.5), (-1.0, 0.5), False),  # in the open interior
+            ((-1.0, -0.5), (1.0, 0.5), True),  # across the front side
+            ((0.0, 0.5), (1.0, 0.6), True),  # touches the front side from outside
+            ((-5.0, -1.0), (0.0, 1.0), True),  # the rectangle itself
+            ((-9.0, -9.0), (9.0, 9.0), True),  # around it
+            ((1.0, 1.0), (1.0, 1.0), False),  # a point outside
+            ((0.0, 1.0), (0.0, 1.0), True),  # a point on a corner
+            ((-2.0, 0.0), (-2.0, 0.0), False),  # a point inside
+        ],
+    )
+    def test_cases(self, lo, hi, meets):
+        assert box_meets_boundary(np.array(lo), np.array(hi), RECT) == meets
+
+    def test_flags_every_chord_that_crosses(self):
+        rng = np.random.default_rng(8)
+        p0 = rng.integers([-14, -6], [6, 6], size=(4000, 2)) * 0.5
+        p1 = p0 + rng.integers(-4, 5, size=(4000, 2)) * 0.5
+        flagged = box_meets_boundary(np.minimum(p0, p1), np.maximum(p0, p1), RECT)
+        crossed = np.unique(chord_crossings(p0, p1, RECT).chord)
+        assert flagged[crossed].all()
+        assert 0 < len(crossed) < np.count_nonzero(flagged) < len(p0)
 
 
 class TestFirstPathEntry:

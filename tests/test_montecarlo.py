@@ -22,16 +22,22 @@ from crossrate import (
     chord_crossings,
     predict_density,
     preset_config,
+    process_noise_cov,
     run_campaign,
+    transition_matrix,
     ttc_config,
     ttc_monte_carlo,
 )
 from crossrate import montecarlo
 from crossrate.errors import ConfigError, NumericsError
 from crossrate.geometry import SEGMENT_ORDER
+from crossrate.gaussian import psd_factor
 from crossrate.montecarlo import (
+    _bridge_normals,
     _by_row,
+    _coarse_states,
     _initial_states,
+    _inner_positions,
     _step_kernel,
     _stream_crossings,
     _traj_rng,
@@ -52,12 +58,12 @@ def straight_config(x0=10.0, y0=0.0, xdot=-2.0, ydot=0.0, **kw):
     return ScenarioConfig(**defaults)
 
 
-def trajectory_crossings(cfg, x0, rng):
-    """Crossings of one trajectory from state x0 and their times, in time order.
+def trajectory_crossings(cfg, x0, rng, traj_id=0):
+    """Crossings of trajectory traj_id from state x0 and their times, in time order.
 
     `rng` must be past the initial-state draw, as the campaign leaves it.
     """
-    found = _stream_crossings(cfg, np.reshape(x0, (1, 6)), [rng], _step_kernel(cfg))
+    found = _stream_crossings(cfg, np.reshape(x0, (1, 6)), [rng], [traj_id], _step_kernel(cfg))
     c, _, t = _by_row(found, 1, cfg)
     return c, t
 
@@ -118,6 +124,26 @@ class TestSampleInitial:
         assert not np.array_equal(a, c)
 
 
+def test_streams_are_keyed_philox():
+    """Trajectory j's stream is Philox keyed (seed, j); the bridge stream of
+    its coarse step k is keyed (seed, 2**63 + j) from counter (0, k, 0, 0)."""
+
+    def philox(key, counter=0):
+        bits = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=counter)
+        return np.random.Generator(bits)
+
+    seed = 2**64 - 1
+    np.testing.assert_array_equal(
+        _traj_rng(seed, 3).standard_normal(50), philox([seed, 3]).standard_normal(50)
+    )
+    streams = [(3, 7), (3, 8), (4, 7), (3, 7)]
+    out = np.empty((len(streams), 60))
+    _bridge_normals(seed, *zip(*streams), out)
+    for row, (traj_id, step) in zip(out, streams):
+        expected = philox([seed, 2**63 + traj_id], counter=step << 64).standard_normal(60)
+        np.testing.assert_array_equal(row, expected)
+
+
 class TestSimulateTrajectory:
     """Crossings of single trajectories, from _stream_crossings and _by_row."""
 
@@ -170,6 +196,17 @@ class TestSimulateTrajectory:
         )
         c, _ = self.crossings(cfg)
         assert len(c.chord) == 0
+
+    def test_crossing_between_coarse_nodes_found(self):
+        # x = 0.002 - 0.1 t + t^2 dips below the front line between the
+        # coarse nodes t = 0 and 0.1 s, where x = 0.002: the chord between
+        # them misses the side, and only its bridge mean's deviation flags it
+        cfg = straight_config(
+            initial_mean=StateVector(0.002, 0.0, -0.1, 0.0, 2.0, 0.0), horizon=0.1
+        )
+        c, t = self.crossings(cfg)
+        assert c.entry.tolist() == [True, False]
+        np.testing.assert_allclose(t, 0.05 + np.array([-1.0, 1.0]) * math.sqrt(5e-4), atol=1e-3)
 
     def test_crossing_time_interpolated_within_step(self):
         cfg = straight_config(sim_step=0.05, bin_width=0.05)
@@ -244,33 +281,109 @@ class TestRunCampaign:
         assert all(k == 1 for k in res.entry_stats["multiplicity_counts"])
 
     def test_empirical_moments_match_prediction(self):
-        """Simulated ensemble at t=3 vs analytic predicted density."""
-        cfg = preset_config("front", n_traj=4000, horizon=3.0)
-        cov0 = cfg.resolve_initial_cov()
-        cfg = dataclasses.replace(cfg, initial_cov=cov0)
-        from crossrate.gaussian import psd_factor
-        from crossrate.montecarlo import _step_kernel
-
-        phi_t, chol_q_t, u = _step_kernel(cfg)
+        """The module's own coarse states at t = 3 s, and its bridge-filled
+        positions at t = 3.05 s, against the analytic predicted density."""
+        cfg = preset_config("front", n_traj=4000, horizon=3.1)
+        cfg = dataclasses.replace(cfg, initial_cov=cfg.resolve_initial_cov())
+        (run,) = _step_kernel(cfg)  # 31 coarse steps of 0.1 s
         n = cfg.n_traj
-        x = np.empty((n, 6))
-        z = np.empty((n, cfg.n_steps, 6))
-        mean = cfg.initial_mean.as_array()
-        cf = psd_factor(cov0)
-        for j in range(n):
-            rng = _traj_rng(cfg.seed, j)
-            x[j] = mean + cf @ rng.standard_normal(6)
-            z[j] = rng.standard_normal((cfg.n_steps, 6))
-        w = z @ chol_q_t
-        for k in range(cfg.n_steps):
-            x = x @ phi_t + u[k] + w[:, k, :]
-        target = cfg.predicted_density(3.0)
-        sd = np.sqrt(np.diag(target.cov))
-        assert np.all(
-            np.abs(x.mean(axis=0) - target.mean) < 4 * sd / math.sqrt(n) + 1e-9
-        )
-        emp_sd = x.std(axis=0)
-        assert np.all(np.abs(emp_sd - sd) < 0.1 * sd)
+        rngs = [_traj_rng(cfg.seed, j) for j in range(n)]
+        nodes = [_initial_states(cfg, rngs)]
+        for _, xs in _coarse_states(run, nodes[0], rngs):
+            nodes.extend(xs[1:].copy())
+        assert len(nodes) == 32
+        inner = _inner_positions(cfg, run, nodes[30], nodes[31], np.full(n, 30), range(n))
+        for t, sample, keep in ((3.0, nodes[30], slice(None)), (3.05, inner[:, 4], slice(2))):
+            target = cfg.predicted_density(t)
+            sd = np.sqrt(np.diag(target.cov))[keep]
+            assert np.all(
+                np.abs(sample.mean(axis=0) - target.mean[keep]) < 4 * sd / math.sqrt(n) + 1e-9
+            )
+            assert np.all(np.abs(sample.std(axis=0) - sd) < 0.1 * sd)
+
+
+def point_density(x):
+    return GaussianDensity(np.asarray(x, dtype=float), np.zeros((6, 6)))
+
+
+def bridge_moments(model, start, end, t0, dt, m):
+    """Analytic mean (2 (m - 1),) and covariance of the positions at t0 + i dt,
+    i = 1 .. m - 1, of the path from `start` at t0 given `end` at t0 + m dt."""
+    times = range(1, m + 1)
+    mean = np.concatenate([predict_density(point_density(start), i * dt, model, t0).mean for i in times])
+    cov = np.zeros((6 * m, 6 * m))
+    for i in times:  # Cov(x_i, x_j) = Q(i dt) Phi((j - i) dt)^T for i <= j
+        for j in range(i, m + 1):
+            block = process_noise_cov(i * dt, model) @ transition_matrix((j - i) * dt).T
+            cov[6 * (i - 1) : 6 * i, 6 * (j - 1) : 6 * j] = block
+            cov[6 * (j - 1) : 6 * j, 6 * (i - 1) : 6 * i] = block.T
+    pos = [6 * i + a for i in range(m - 1) for a in (0, 1)]
+    last = slice(6 * (m - 1), 6 * m)
+    gain = cov[pos, last] @ np.linalg.pinv(cov[last, last])
+    return mean[pos] + gain @ (end - mean[last]), cov[np.ix_(pos, pos)] - gain @ cov[last, pos]
+
+
+@pytest.mark.parametrize(
+    "qx, qy, horizon",
+    [(0.0101, 0.0405, 3.1), (0.0101, 0.0, 3.1), (0.0, 0.0, 3.1), (0.0101, 0.0405, 3.05)],
+    ids=["both-psds", "qy-zero", "zero-noise", "short-last-step"],
+)
+def test_bridge_law(qx, qy, horizon):
+    """With a chord's ends fixed, the filled positions have the analytic bridge
+    mean and covariance, on the last coarse step from t = 3 s: 10 fine steps,
+    or 5 for the short one.  With qy = 0 the y block of Q is singular and the
+    y positions are the deterministic path; with no noise nothing is drawn."""
+    model = MotionModel(qx=qx, qy=qy, b1=-0.2, b2=-0.3, omega=0.5)
+    cfg = preset_config("front", model=model, n_traj=1, horizon=horizon)
+    run = _step_kernel(cfg)[-1]
+    step, m, dt = 30, run.m, cfg.sim_step
+    assert run.first + run.n == step + 1 and m == round((horizon - 3.0) / dt)
+    start = np.array([4.0, 0.5, -2.0, 0.3, -0.2, 0.1])
+    # an end drawn from the free path's law, so that every model can reach it
+    free = predict_density(point_density(start), m * dt, model, step * 10 * dt)
+    end = free.mean + psd_factor(free.cov) @ np.random.default_rng(1).standard_normal(6)
+    mean, cov = bridge_moments(model, start, end, step * 10 * dt, dt, m)
+
+    n = 20_000 if qx > 0.0 else 4
+    ends = (np.tile(start, (n, 1)), np.tile(end, (n, 1)))
+    steps = np.full(n, step - run.first)
+    with mock.patch.object(montecarlo, "_bridge_normals", wraps=montecarlo._bridge_normals) as draws:
+        filled = _inner_positions(cfg, run, *ends, steps, range(n)).reshape(n, -1)
+    assert draws.called == (qx > 0.0)
+    sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    assert np.all(np.abs(filled.mean(axis=0) - mean) <= 4 * sd / math.sqrt(n) + 1e-9)
+    if qx > 0.0:
+        frob = np.linalg.norm(np.cov(filled.T) - cov) / np.linalg.norm(cov)
+        assert frob < 0.05
+    for axis, q in ((0, qx), (1, qy)):
+        if q == 0.0:
+            np.testing.assert_allclose(filled[:, axis::2], np.broadcast_to(mean[axis::2], (n, m - 1)), atol=1e-9)
+
+
+@pytest.mark.parametrize("preset", ["front", "front-right"])
+def test_flagged_chords_hold_every_crossing(preset):
+    """Refining every coarse chord finds the crossings that refining the
+    flagged ones finds, and no more: a chord's bridge draws depend only on
+    its trajectory and step, not on which other chords are refined."""
+    cfg = preset_config(preset, n_traj=256, seed=17)
+    cfg = dataclasses.replace(cfg, initial_cov=cfg.resolve_initial_cov())
+    ids = range(cfg.n_traj)
+
+    def crossings():
+        rngs = [_traj_rng(cfg.seed, j) for j in ids]
+        return _stream_crossings(cfg, _initial_states(cfg, rngs), rngs, ids, _step_kernel(cfg))
+
+    def every_chord(config, p, xs, k0):
+        return np.ones((len(xs) - 1, xs.shape[1]), dtype=bool)
+
+    flagged = crossings()
+    with mock.patch.object(montecarlo, "_near", every_chord):
+        every = crossings()
+    assert len(flagged.chord) > 0
+    for name in ("chord", "segment", "entry"):
+        np.testing.assert_array_equal(getattr(flagged, name), getattr(every, name))
+    # the same draws, but BLAS may round a product differently in a longer stack
+    np.testing.assert_allclose(flagged.fraction, every.fraction, rtol=1e-12, atol=1e-12)
 
 
 def assert_same_campaign(a, b):
@@ -296,7 +409,7 @@ def counts_from_records(cfg):
 
     for i in range(cfg.n_traj):
         rng = _traj_rng(cfg.seed, i)
-        c, t = trajectory_crossings(cfg, _initial_states(cfg, [rng])[0], rng)
+        c, t = trajectory_crossings(cfg, _initial_states(cfg, [rng])[0], rng, i)
         entries = [
             (time, SEGMENT_ORDER[seg]) for time, seg, entry in zip(t, c.segment, c.entry) if entry
         ]
