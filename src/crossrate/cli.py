@@ -277,8 +277,9 @@ def _positive_int(text: str) -> int:
 
 def _add_curve_flags(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=METHODS, default="quadrature")
-    p.add_argument("--dt", type=_positive, default=0.05, help="dense grid step, s")
-    p.add_argument(
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--dt", type=_positive, default=0.05, help="dense grid step, s")
+    grid.add_argument(
         "--adaptive",
         action="store_true",
         help=f"adaptive sampling: {COARSE_STEP:g} s march, {FINE_STEP:g} s refinement, "

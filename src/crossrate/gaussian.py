@@ -194,12 +194,12 @@ _LQ_T2 = _LQ_T * _LQ_T
 
 
 def _lower_quadrant(h: float, k: float, rho: float, rho_bar: float) -> float:
-    """bivariate_normal_cdf for h, k < 0 and rho < 0, as a sum of positive terms.
+    """bivariate_normal_cdf for h < 0, rho < 0 and k <= rho h, as a sum of positive terms.
 
     There each half of the Owen form is a difference of terms far larger
     than the result, so it is evaluated as
 
-        Phi2(h, k) = int_{-inf}^h phi(x) Phi(u(x)) dx,  u = (k - rho x) / rho_bar < 0.
+        Phi2(h, k) = int_{-inf}^h phi(x) Phi(u(x)) dx,  u = (k - rho x) / rho_bar <= 0.
 
     The integrand is log-concave: its log-slope at x = h is s > 0, and its
     curvature lies between 0.63 / rho_bar^2 and 1 / rho_bar^2 (u <= 0).  In
@@ -231,8 +231,9 @@ def bivariate_normal_cdf(
     where beta = 1/2 if h k < 0 and 0 otherwise; Phi2(0, 0) = 1/4 +
     asin(rho) / (2 pi).  The constant parts of Phi(h) / 2, Phi(k) / 2 and
     beta are summed exactly first, so that no tail is the difference of
-    numbers near 1/4.  In the joint lower tail with rho < 0 (h, k, rho < 0)
-    each half still cancels, and _lower_quadrant integrates instead.
+    numbers near 1/4.  With rho < 0, one argument a < 0 and the other
+    b <= rho a (h, k < 0 among them) each half still cancels, and
+    _lower_quadrant integrates instead.
     Pass `rho_bar` when it is known more precisely than from a rounded rho,
     as sqrt(det) / (sigma_1 sigma_2) of a covariance; it must be > 0.
     """
@@ -241,8 +242,9 @@ def bivariate_normal_cdf(
         rho_bar = math.sqrt(max((1.0 - rho) * (1.0 + rho), 0.0))
     if not rho_bar > 0.0:
         raise DomainError(f"bivariate normal CDF needs |rho| < 1, got rho={rho}")
-    if h < 0.0 and k < 0.0 and rho < 0.0:
-        return _lower_quadrant(h, k, rho, rho_bar)
+    a, b = (h, k) if h < 0.0 else (k, h)
+    if rho < 0.0 and a < 0.0 and b - rho * a <= 0.0:
+        return _lower_quadrant(a, b, rho, rho_bar)
     if h == 0.0 and k == 0.0:
         return 0.25 + math.atan2(rho, rho_bar) / (2.0 * math.pi)
     opposite = h < 0.0 < k or k < 0.0 < h

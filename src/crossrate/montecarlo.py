@@ -15,19 +15,21 @@ trajectory count.
 
 A campaign samples the fine path, the states at multiples of sim_step,
 but propagates each batch on coarse steps of _COARSE fine steps, with the
-exact transition, noise and input increment of the coarse step; a last
-step of fewer fine steps gets its own.  A coarse chord is refined only
-where its bounding box, grown on each axis by the largest deviation of
-its bridge mean (the mean of the fine path given the chord's two end
-states) from the chord, plus _SIGMAS standard deviations of the bridge
-position, meets the rectangle's boundary.  Elsewhere the fine path can
-cross a side only by straying that far from its bridge mean, which a
-chord's 2 x 9 inner coordinates do with probability below 3e-14.  A
-refined chord's inner fine states are drawn given its ends by Matheron's
-rule, x(t_i) = x~(t_i) + C_i (x_end - x~_end), with x~ a free fine path
-from its start and C_i = Cov(x_i, x_end | start) Cov(x_end | start)^-1,
-precomputed per campaign.  geometry.chord_crossings then runs on the
-fine chords, so the crossings have the law of a simulation on every fine
+exact transition, noise and input increment of the coarse step; it runs
+to the end of the coarse step that holds the horizon and drops the
+crossings past it.  A coarse chord is refined only where its bounding
+box, grown on each axis by the largest deviation of its bridge mean (the
+mean of the fine path given the chord's two end states) from the chord,
+plus _SIGMAS standard deviations of the bridge position, meets the
+rectangle's boundary.  Elsewhere the fine path can cross a side only by
+straying that far from its bridge mean, which a chord's 2 x 9 inner
+coordinates do with probability below 3e-14.  A refined chord's inner
+positions are the chord, plus its bridge mean's deviation from the
+chord, plus bridge noise, all by maps precomputed per campaign from
+Matheron's rule x(t_i) = x~(t_i) + C_i (x_end - x~_end), with x~ a free
+fine path from the chord's start and C_i = Cov(x_i, x_end | start)
+Cov(x_end | start)^-1.  geometry.chord_crossings then runs on the fine
+chords, so the crossings have the law of a simulation on every fine
 step.  A batch goes through the horizon _STEP_CHUNK coarse steps at a
 time, in reused buffers, so memory does not grow with the horizon either.
 
@@ -69,6 +71,8 @@ _COARSE = 10  # fine steps (sim_step) per coarse step
 _STEP_CHUNK = 40  # coarse steps of noise held per batch at once; bounds memory only
 _SIGMAS = 8.0  # the margin's allowance for bridge noise, in sd of the bridge position
 _SLACK = 1e-9  # m added to every margin, so that rounding cannot drop a chord that touches
+_INNER = 2 * (_COARSE - 1)  # inner position coordinates of a coarse step
+_FRAC = np.repeat(np.arange(1, _COARSE) / _COARSE, 2)  # each one's fraction of the step
 # fork starts workers fast and carries the parent's state, module patches included;
 # OpenBLAS stops its threads before a fork, so the parent forks single-threaded
 _MP_CONTEXT = multiprocessing.get_context("fork")
@@ -184,35 +188,37 @@ def _initial_states(config: ScenarioConfig, rngs: Iterable[np.random.Generator])
 
 
 class _Pieces(NamedTuple):
-    """The exact pieces of a run of `n` coarse steps of `m` fine steps each.
+    """The exact pieces of a campaign's n coarse steps of _COARSE fine steps each.
 
-    States are rows, so `x @ phi_t` is Φ(m dt) x.  The inner times of a
-    coarse step lie i dt, i = 1 .. m - 1, after its start, and column
-    2 (i - 1) + axis of every (…, 2 (m - 1)) piece is inner time i's
-    position on that axis.  The Matheron gains C_i = Q(i dt) Φ((m - i) dt)ᵀ
-    Q(m dt)⁻¹ do not depend on the jerk PSDs; an axis without noise has none.
+    States are rows, so `x @ phi_t` is Φ(_COARSE dt) x.  The inner times of
+    a coarse step lie i dt, i = 1 .. _COARSE - 1, after its start, and
+    column 2 (i - 1) + axis of every (…, _INNER) piece is inner time i's
+    position on that axis.  Given a chord's two end states, its inner
+    positions are the chord, plus the bridge mean's deviation from the
+    chord (dev, dev_u), plus the bridge noise z @ noise_t.
     """
 
-    first: int  # index of the run's first coarse step
-    n: int  # coarse steps in the run
-    m: int  # fine steps per coarse step
-    phi_t: np.ndarray  # (6, 6) Φ(m dt)ᵀ, C-contiguous: x @ phi_t is then 3x faster
-    chol_q_t: np.ndarray  # (6, 6) Lᵀ with L Lᵀ = Q(m dt)
+    n: int  # coarse steps, ⌈n_steps / _COARSE⌉: the last may end past the horizon
+    phi_t: np.ndarray  # (6, 6) Φ(_COARSE dt)ᵀ, C-contiguous: x @ phi_t is then 3x faster
+    chol_q_t: np.ndarray  # (6, 6) Lᵀ with L Lᵀ = Q(_COARSE dt)
     u: np.ndarray | None  # (n, 6) input increment of each coarse step; None with the input off
-    inner_t: np.ndarray  # (6, 2 (m - 1)) inner positions of Φ(i dt) x
-    u_inner: np.ndarray | None  # (n, 2 (m - 1)) their input increments
-    # (6 m, 2 (m - 1) + 6) free-path noise at the inner positions and at the
-    # end, from the fine steps' m x 6 normals; None without process noise
+    # (6 _COARSE, _INNER) bridge noise at the inner positions, from the chord's
+    # _COARSE x 6 fine-step normals; None without process noise
     noise_t: np.ndarray | None
-    gain_t: np.ndarray  # (6, 2 (m - 1)) position rows of the C_i, transposed
-    dev: np.ndarray  # (2, 2 (m - 1), 6) bridge mean less the chord, from the start and the end
-    dev_u: np.ndarray | None  # (n, 2 (m - 1)) its input part
-    reach: np.ndarray  # (2,) _SIGMAS bridge position sd per axis, plus _SLACK
+    dev: np.ndarray  # (2, _INNER, 6) bridge mean less the chord, from the start and the end
+    dev_u: np.ndarray | None  # (n, _INNER) its input part
+    reach: np.ndarray  # (2,) _SIGMAS sd of the bridge noise per axis, plus _SLACK
 
 
-def _pieces(config: ScenarioConfig, first: int, n: int, m: int) -> _Pieces:
-    """_Pieces of coarse steps first .. first + n - 1, each of m fine steps."""
-    dt = config.sim_step
+def _pieces(config: ScenarioConfig) -> _Pieces:
+    """_Pieces of the coarse steps that cover the horizon.
+
+    dev, dev_u and noise_t split Matheron's rule, whose gains C_i = Q(i dt)
+    Φ((_COARSE - i) dt)ᵀ Q(_COARSE dt)⁻¹ do not depend on the jerk PSDs; an
+    axis without noise has none.
+    """
+    dt, m = config.sim_step, _COARSE
+    n = -(-config.n_steps // m)
     model = config.model
     phi = [transition_matrix(i * dt) for i in range(m + 1)]
     unit_model = dataclasses.replace(model, qx=1.0, qy=1.0)
@@ -221,74 +227,57 @@ def _pieces(config: ScenarioConfig, first: int, n: int, m: int) -> _Pieces:
     s = 1.0 / np.sqrt(np.diag(unit[m]))  # Jacobi scaling: Q(m dt) spans dt^5 .. dt
     q_inv = s[:, np.newaxis] * np.linalg.inv(s[:, np.newaxis] * unit[m] * s) * s
     gains = [unit[i] @ phi[m - i].T @ q_inv * (psd > 0.0)[:, np.newaxis] for i in range(1, m)]
-    bridge_var = [
-        np.diag(unit[i] - c @ phi[m - i] @ unit[i])[:2] * psd[:2]
-        for i, c in enumerate(gains, start=1)
-    ]
-    sd = np.sqrt(np.clip(np.max(bridge_var, axis=0, initial=0.0), 0.0, None))
-
-    inner_t = np.hstack([phi[i][:2].T for i in range(1, m)] or [np.zeros((6, 0))])
-    gain_t = np.hstack([c[:2].T for c in gains] or [np.zeros((6, 0))])
-    frac = np.repeat(np.arange(1, m) / m, 2)
-    on_axis = np.zeros((6, 2 * (m - 1)))
+    gain_t = np.hstack([c[:2].T for c in gains])  # (6, _INNER) position rows of the C_i
+    inner_t = np.hstack([phi[i][:2].T for i in range(1, m)])  # positions of Φ(i dt) x
+    on_axis = np.zeros((6, _INNER))
     on_axis[0, 0::2] = on_axis[1, 1::2] = 1.0
     dev = np.stack(
-        (inner_t - phi[m].T @ gain_t - on_axis * (1.0 - frac), gain_t - on_axis * frac)
+        (inner_t - phi[m].T @ gain_t - on_axis * (1.0 - _FRAC), gain_t - on_axis * _FRAC)
     ).transpose(0, 2, 1).copy()
 
     noise_t = None
+    sd = np.zeros(2)
     if model.qx > 0.0 or model.qy > 0.0:
         chol_t = psd_factor(process_noise_cov(dt, model)).T
         free = np.zeros((6 * m, 6 * m))  # row block j: step j + 1's normals; column block i: time i + 1
         for j in range(m):
             for i in range(j, m):
                 free[6 * j : 6 * j + 6, 6 * i : 6 * i + 6] = chol_t @ phi[i - j].T
-        keep = [6 * i + a for i in range(m - 1) for a in (0, 1)] + list(range(6 * m - 6, 6 * m))
-        noise_t = free[:, keep]
+        inner = [6 * i + a for i in range(m - 1) for a in (0, 1)]
+        noise_t = free[:, inner] - free[:, 6 * m - 6 :] @ gain_t
+        sd = np.linalg.norm(noise_t, axis=0).reshape(m - 1, 2).max(axis=0)
 
-    u = u_inner = dev_u = None
+    u = dev_u = None
     if model.input_enabled:
-        starts = (first + np.arange(n)) * _COARSE * dt
+        starts = np.arange(n) * m * dt
         u = np.array([input_increment(m * dt, model, t0) for t0 in starts])
         u_inner = np.array(
             [np.ravel([input_increment(i * dt, model, t0)[:2] for i in range(1, m)]) for t0 in starts]
-        ).reshape(n, 2 * (m - 1))
+        )
         dev_u = u_inner - u @ gain_t
     return _Pieces(
-        first=first,
         n=n,
-        m=m,
         phi_t=np.ascontiguousarray(phi[m].T),
         chol_q_t=psd_factor(process_noise_cov(m * dt, model)).T,
         u=u,
-        inner_t=inner_t,
-        u_inner=u_inner,
         noise_t=noise_t,
-        gain_t=gain_t,
         dev=dev,
         dev_u=dev_u,
         reach=_SIGMAS * sd + _SLACK,
     )
 
 
-def _step_kernel(config: ScenarioConfig) -> tuple[_Pieces, ...]:
-    """The runs of coarse steps: n_steps // _COARSE full ones, then one for the rest."""
-    full, rest = divmod(config.n_steps, _COARSE)
-    runs = (_pieces(config, 0, full, _COARSE),) if full else ()
-    return runs + ((_pieces(config, full, 1, rest),) if rest else ())
-
-
 def _near(config: ScenarioConfig, p: _Pieces, xs: np.ndarray, k0: int) -> np.ndarray:
     """Which coarse chords xs[k] -> xs[k + 1] may have a fine path that crosses a side.
 
-    `xs` (k + 1, b, 6) holds the states at the run's coarse steps k0 ..
-    k0 + k.  A chord is flagged where its bounding box, grown on each
-    axis by its bridge mean's largest deviation from the chord plus
-    p.reach, meets the rectangle's boundary: a fine path through its ends
-    that stays in that box can cross no side.  Returns a (k, b) bool array.
+    `xs` (k + 1, b, 6) holds the states at coarse steps k0 .. k0 + k.  A
+    chord is flagged where its bounding box, grown on each axis by its
+    bridge mean's largest deviation from the chord plus p.reach, meets the
+    rectangle's boundary: a fine path through its ends that stays in that
+    box can cross no side.  Returns a (k, b) bool array.
     """
     k, b = len(xs) - 1, xs.shape[1]
-    d = np.empty((2, 2 * (p.m - 1), b))  # (start part, end part) x inner column x row
+    d = np.empty((2, _INNER, b))  # (start part, end part) x inner column x row
     near = np.empty((k, b), dtype=bool)
     for i in range(k):  # a step at a time: the buffers stay in cache
         np.matmul(p.dev[0], xs[i].T, out=d[0])
@@ -298,7 +287,7 @@ def _near(config: ScenarioConfig, p: _Pieces, xs: np.ndarray, k0: int) -> np.nda
         if p.dev_u is not None:
             dev += p.dev_u[k0 + i, :, np.newaxis]
         np.abs(dev, out=dev)
-        grow = dev.reshape(p.m - 1, 2, b).max(axis=0, initial=0.0).T + p.reach
+        grow = dev.reshape(_COARSE - 1, 2, b).max(axis=0).T + p.reach
         p0, p1 = xs[i, :, :2], xs[i + 1, :, :2]
         lo, hi = np.minimum(p0, p1), np.maximum(p0, p1)
         near[i] = box_meets_boundary(lo - grow, hi + grow, config.rect)
@@ -306,26 +295,23 @@ def _near(config: ScenarioConfig, p: _Pieces, xs: np.ndarray, k0: int) -> np.nda
 
 
 def _inner_positions(config, p: _Pieces, start, end, steps, traj_ids) -> np.ndarray:
-    """Positions (n, m - 1, 2) at the inner times of n coarse chords, given their ends.
+    """Positions (n, _COARSE - 1, 2) at the inner times of n coarse chords, given their ends.
 
-    Chord f runs from state start[f] to end[f] over the run's coarse step
-    steps[f] of trajectory traj_ids[f].  Matheron's rule draws its inner
-    states as x(t_i) = x~(t_i) + C_i (x_end - x~_end), with x~ a free fine
-    path from its start whose noise comes from the chord's bridge stream.
+    Chord f runs from state start[f] to end[f] over coarse step steps[f]
+    of trajectory traj_ids[f].  Its inner positions are the chord, plus
+    the bridge mean's deviation from the chord, plus bridge noise drawn
+    from the chord's bridge stream.
     """
-    free_inner = start @ p.inner_t
-    free_end = start @ p.phi_t
-    if p.u is not None:
-        free_inner += p.u_inner[steps]
-        free_end += p.u[steps]
+    reps = _COARSE - 1
+    inner = np.tile(start[:, :2], reps) * (1.0 - _FRAC) + np.tile(end[:, :2], reps) * _FRAC
+    inner += start @ p.dev[0].T + end @ p.dev[1].T
+    if p.dev_u is not None:
+        inner += p.dev_u[steps]
     if p.noise_t is not None:
-        z = np.empty((len(start), 6 * p.m))
-        _bridge_normals(config.seed, traj_ids, (p.first + steps).tolist(), z)
-        eps = z @ p.noise_t
-        free_inner += eps[:, :-6]
-        free_end += eps[:, -6:]
-    inner = free_inner + (end - free_end) @ p.gain_t
-    return inner.reshape(len(start), p.m - 1, 2)
+        z = np.empty((len(start), 6 * _COARSE))
+        _bridge_normals(config.seed, traj_ids, steps.tolist(), z)
+        inner += z @ p.noise_t
+    return inner.reshape(len(start), reps, 2)
 
 
 def _fill(config, p: _Pieces, xs: np.ndarray, k0: int, near: np.ndarray, traj_ids):
@@ -349,18 +335,18 @@ def _fill(config, p: _Pieces, xs: np.ndarray, k0: int, near: np.ndarray, traj_id
         axis=1,
     )
     c = chord_crossings(path[:, :-1].reshape(-1, 2), path[:, 1:].reshape(-1, 2), config.rect)
-    f, i = np.divmod(c.chord, p.m)
-    return c._replace(chord=((p.first + steps[f]) * _COARSE + i) * b + rows[f])
+    f, i = np.divmod(c.chord, _COARSE)
+    return c._replace(chord=(steps[f] * _COARSE + i) * b + rows[f])
 
 
 def _coarse_states(p: _Pieces, x: np.ndarray, rngs: list[np.random.Generator]):
-    """Propagate the rows of x (b, 6) over the coarse steps of run p.
+    """Propagate the rows of x (b, 6) over the p.n coarse steps.
 
     Yields (k0, xs) per chunk of at most _STEP_CHUNK steps, with xs
-    (k + 1, b, 6) the states at the run's coarse steps k0 .. k0 + k, the
-    first the last of the chunk before: a view of a buffer that the next
-    chunk reuses.  Row j's noise comes from rngs[j], which yields the
-    same stream it would in one draw of the whole run.
+    (k + 1, b, 6) the states at coarse steps k0 .. k0 + k, the first the
+    last of the chunk before: a view of a buffer that the next chunk
+    reuses.  Row j's noise comes from rngs[j], which yields the same
+    stream it would in one draw of all the steps.
     """
     b = len(x)
     chunk = min(_STEP_CHUNK, p.n)
@@ -384,27 +370,24 @@ def _coarse_states(p: _Pieces, x: np.ndarray, rngs: list[np.random.Generator]):
 
 
 def _stream_crossings(
-    config: ScenarioConfig, x: np.ndarray, rngs: list[np.random.Generator], traj_ids, kernel
+    config: ScenarioConfig, x: np.ndarray, rngs: list[np.random.Generator], traj_ids, p: _Pieces
 ) -> ChordCrossings:
-    """Propagate a batch to the horizon and return all its crossings.
+    """Propagate a batch through its last coarse step and return all its crossings.
 
     `x` (b, 6) holds the initial states, `rngs` one generator per row,
     already past its initial-state draw, and `traj_ids` the rows'
     trajectory ids, which key their bridge streams.  The batch moves on
-    the coarse steps of `kernel`, and _fill fills in the fine path of
-    each coarse chord that _near flags.  The chord from fine step k to
-    k + 1 of row j has index k * b + j, and the crossings come ordered by
-    chord.  Memory does not grow with the horizon: the batch goes
+    the coarse steps of `p`, and _fill fills in the fine path of each
+    coarse chord that _near flags.  The chord from fine step k to k + 1
+    of row j has index k * b + j; the crossings come in the order _fill
+    finds them.  Memory does not grow with the horizon: the batch goes
     through it _STEP_CHUNK coarse steps at a time, in reused buffers.
     """
-    b = len(x)
-    found = []
-    for p in kernel:
-        for k0, xs in _coarse_states(p, x, rngs):
-            found.append(_fill(config, p, xs, k0, _near(config, p, xs, k0), traj_ids))
-        x = xs[-1].copy()
-    c = ChordCrossings(*(np.concatenate(arrays) for arrays in zip(*found)))
-    return c.select(np.argsort(c.chord, kind="stable"))
+    found = [
+        _fill(config, p, xs, k0, _near(config, p, xs, k0), traj_ids)
+        for k0, xs in _coarse_states(p, x, rngs)
+    ]
+    return ChordCrossings(*(np.concatenate(arrays) for arrays in zip(*found)))
 
 
 def _by_row(c: ChordCrossings, b: int, config: ScenarioConfig):
@@ -412,16 +395,17 @@ def _by_row(c: ChordCrossings, b: int, config: ScenarioConfig):
 
     `b` is the batch's row count.  A crossing at `fraction` of the chord
     from step k happens at k * dt + fraction * dt.  Chord order is time
-    order, so a stable sort by row keeps each row's crossings in time order.
+    order, and chord_crossings orders a chord's crossings in time, so a
+    stable sort by row, then chord, puts each row's crossings in time order.
     """
     step, row = np.divmod(c.chord, b)
     t = step * config.sim_step + c.fraction * config.sim_step
-    keep = np.argsort(row, kind="stable")
+    keep = np.lexsort((c.chord, row))
     keep = keep[t[keep] <= config.horizon]
     return c.select(keep), row[keep], t[keep]
 
 
-def _simulate_batch(config: ScenarioConfig, traj_ids: range, kernel):
+def _simulate_batch(config: ScenarioConfig, traj_ids: range, p: _Pieces):
     """Simulate a batch of trajectories and reduce its entries to counts.
 
     Returns (first, all, boundary, multiplicity, (pid, rss)): first- and
@@ -435,7 +419,7 @@ def _simulate_batch(config: ScenarioConfig, traj_ids: range, kernel):
     b = len(traj_ids)
     rngs = [_traj_rng(config.seed, tid) for tid in traj_ids]
     x = _initial_states(config, rngs)
-    c, row, t = _by_row(_stream_crossings(config, x, rngs, traj_ids, kernel), b, config)
+    c, row, t = _by_row(_stream_crossings(config, x, rngs, traj_ids, p), b, config)
     row, seg, t = row[c.entry], c.segment[c.entry], t[c.entry]
 
     first = np.ones(len(row), dtype=bool)
@@ -462,7 +446,7 @@ def _simulate_batch(config: ScenarioConfig, traj_ids: range, kernel):
     return first_counts, all_counts, boundary, multiplicity, (os.getpid(), peak_rss_mb())
 
 
-def _batch_counts(config: ScenarioConfig, kernel, workers: int):
+def _batch_counts(config: ScenarioConfig, p: _Pieces, workers: int):
     """_simulate_batch of each batch, in batch order.
 
     One worker runs the batches in the calling process.  More run them in
@@ -473,13 +457,13 @@ def _batch_counts(config: ScenarioConfig, kernel, workers: int):
     """
     batches = _batches(config.n_traj)
     if workers == 1:
-        yield from (_simulate_batch(config, ids, kernel) for ids in batches)
+        yield from (_simulate_batch(config, ids, p) for ids in batches)
         return
     with ProcessPoolExecutor(workers, mp_context=_MP_CONTEXT) as pool:
         pending = deque()
         try:
             for ids in batches:
-                pending.append(pool.submit(_simulate_batch, config, ids, kernel))
+                pending.append(pool.submit(_simulate_batch, config, ids, p))
                 if len(pending) == 2 * workers:
                     yield pending.popleft().result()
             while pending:
@@ -498,7 +482,7 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
     The batches run in min(threads, number of batches) worker processes;
     the result does not depend on that number.
     """
-    kernel = _step_kernel(config)
+    pieces = _pieces(config)
     config.resolve_initial_cov()  # solved once: each batch's pickled config carries it
     workers = min(threads, -(-config.n_traj // _BATCH_SIZE))
     n_bins = config.n_bins
@@ -511,7 +495,7 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
     peaks: dict[int, float] = {}
 
     # merge strictly in batch order: results independent of schedule
-    for first, all_, bnd, mult, (pid, rss) in _batch_counts(config, kernel, workers):
+    for first, all_, bnd, mult, (pid, rss) in _batch_counts(config, pieces, workers):
         first_counts += first
         all_counts += all_
         boundary += bnd

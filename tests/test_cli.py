@@ -573,6 +573,8 @@ class TestInvalidInputExit2:
             ["intensity", "--seed", "1"],
             ["salient", "--seed", "1"],
             ["probability", "--t2", "6", "--adaptive", "--dt1", "0.5"],
+            ["intensity", "--adaptive", "--dt", "0.3"],
+            ["probability", "--t2", "6", "--dt", "0.3", "--adaptive"],
             ["probability", "--t1", "3", "--t2", "2", "--method", "taylor0", "--dt", "1"],
             ["probability", "--t1=-1", "--t2", "2", "--method", "taylor0", "--dt", "1"],
             ["probability", "--t1=-1", "--t2", "6", "--adaptive", "--method", "taylor0"],

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.linalg import cho_factor, cho_solve
@@ -336,7 +336,7 @@ def scipy_bivariate_cdf(h, k, rho):
 
 
 def lower_quadrant_reference(h, k, rho) -> float:
-    """Phi2(h, k; rho) for h, k, rho < 0 at 30 digits.
+    """Phi2(h, k; rho) for h, rho < 0 and k <= rho h at 30 digits.
 
     int_{-inf}^h phi(x) Phi((k - rho x) / rho_bar) dx by mpmath Gauss-Legendre
     on panels of half the integrand's decay scale 1 / c, c = max(its log-slope
@@ -385,6 +385,25 @@ class TestBivariateNormalCdf:
         want = lower_quadrant_reference(h, k, rho)
         assert got >= 0.0
         assert abs(got - want) <= 1e-11 * want + 1e-300
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        a=st.floats(-35.0, 0.0, exclude_max=True),
+        b=st.floats(-35.0, 35.0),
+        rho=st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+    )
+    @example(-12.101465320804557, 0.7781814472341074, -0.9048328099366332)
+    @example(-6.343, 0.1956, -0.824)
+    @example(-14.08, 0.00101, -0.316)
+    def test_lower_tail_beyond_the_quadrant_matches_mpmath(self, a, b, rho):
+        """With rho < 0, a < 0 and b <= rho a the integral holds too, though b
+        may be positive; the Owen form gave -5.5e-140 at the first example,
+        and 9e-5 and 6e-9 relative errors at the others."""
+        assume(b <= rho * a)
+        want = lower_quadrant_reference(a, b, rho)
+        for got in (bivariate_normal_cdf(a, b, rho), bivariate_normal_cdf(b, a, rho)):
+            assert got >= 0.0
+            assert abs(got - want) <= 1e-11 * want + 1e-300
 
     @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.999])
     def test_both_zero(self, rho):

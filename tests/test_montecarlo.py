@@ -38,7 +38,7 @@ from crossrate.montecarlo import (
     _coarse_states,
     _initial_states,
     _inner_positions,
-    _step_kernel,
+    _pieces,
     _stream_crossings,
     _traj_rng,
 )
@@ -63,7 +63,7 @@ def trajectory_crossings(cfg, x0, rng, traj_id=0):
 
     `rng` must be past the initial-state draw, as the campaign leaves it.
     """
-    found = _stream_crossings(cfg, np.reshape(x0, (1, 6)), [rng], [traj_id], _step_kernel(cfg))
+    found = _stream_crossings(cfg, np.reshape(x0, (1, 6)), [rng], [traj_id], _pieces(cfg))
     c, _, t = _by_row(found, 1, cfg)
     return c, t
 
@@ -208,6 +208,17 @@ class TestSimulateTrajectory:
         assert c.entry.tolist() == [True, False]
         np.testing.assert_allclose(t, 0.05 + np.array([-1.0, 1.0]) * math.sqrt(5e-4), atol=1e-3)
 
+    @pytest.mark.parametrize("horizon, n_steps, entries", [(4.93, 493, 0), (4.97, 497, 1)])
+    def test_entry_past_the_horizon_in_the_last_coarse_step(self, horizon, n_steps, entries):
+        # the path from 9.9 m at -2 m/s enters at 4.95 s, inside the coarse step
+        # from 4.9 s to 5.0 s, which is simulated whole whichever horizon ends in it
+        cfg = straight_config(x0=9.9, horizon=horizon)
+        assert cfg.n_steps == n_steps
+        c, t = self.crossings(cfg)
+        assert np.count_nonzero(c.entry) == entries
+        if entries:
+            assert first_entry(c, t) == ("front", pytest.approx(4.95, abs=1e-9))
+
     def test_crossing_time_interpolated_within_step(self):
         cfg = straight_config(sim_step=0.05, bin_width=0.05)
         _, t = first_entry(*self.crossings(cfg))
@@ -285,7 +296,7 @@ class TestRunCampaign:
         positions at t = 3.05 s, against the analytic predicted density."""
         cfg = preset_config("front", n_traj=4000, horizon=3.1)
         cfg = dataclasses.replace(cfg, initial_cov=cfg.resolve_initial_cov())
-        (run,) = _step_kernel(cfg)  # 31 coarse steps of 0.1 s
+        run = _pieces(cfg)  # 31 coarse steps of 0.1 s
         n = cfg.n_traj
         rngs = [_traj_rng(cfg.seed, j) for j in range(n)]
         nodes = [_initial_states(cfg, rngs)]
@@ -324,20 +335,18 @@ def bridge_moments(model, start, end, t0, dt, m):
 
 
 @pytest.mark.parametrize(
-    "qx, qy, horizon",
-    [(0.0101, 0.0405, 3.1), (0.0101, 0.0, 3.1), (0.0, 0.0, 3.1), (0.0101, 0.0405, 3.05)],
-    ids=["both-psds", "qy-zero", "zero-noise", "short-last-step"],
+    "qx, qy", [(0.0101, 0.0405), (0.0101, 0.0), (0.0, 0.0)], ids=["both-psds", "qy-zero", "zero-noise"]
 )
-def test_bridge_law(qx, qy, horizon):
+def test_bridge_law(qx, qy):
     """With a chord's ends fixed, the filled positions have the analytic bridge
-    mean and covariance, on the last coarse step from t = 3 s: 10 fine steps,
-    or 5 for the short one.  With qy = 0 the y block of Q is singular and the
-    y positions are the deterministic path; with no noise nothing is drawn."""
+    mean and covariance, on the last coarse step, the 10 fine steps from
+    t = 3 s.  With qy = 0 the y block of Q is singular and the y positions
+    are the deterministic path; with no noise nothing is drawn."""
     model = MotionModel(qx=qx, qy=qy, b1=-0.2, b2=-0.3, omega=0.5)
-    cfg = preset_config("front", model=model, n_traj=1, horizon=horizon)
-    run = _step_kernel(cfg)[-1]
-    step, m, dt = 30, run.m, cfg.sim_step
-    assert run.first + run.n == step + 1 and m == round((horizon - 3.0) / dt)
+    cfg = preset_config("front", model=model, n_traj=1, horizon=3.1)
+    run = _pieces(cfg)
+    step, m, dt = 30, montecarlo._COARSE, cfg.sim_step
+    assert run.n == step + 1
     start = np.array([4.0, 0.5, -2.0, 0.3, -0.2, 0.1])
     # an end drawn from the free path's law, so that every model can reach it
     free = predict_density(point_density(start), m * dt, model, step * 10 * dt)
@@ -346,7 +355,7 @@ def test_bridge_law(qx, qy, horizon):
 
     n = 20_000 if qx > 0.0 else 4
     ends = (np.tile(start, (n, 1)), np.tile(end, (n, 1)))
-    steps = np.full(n, step - run.first)
+    steps = np.full(n, step)
     with mock.patch.object(montecarlo, "_bridge_normals", wraps=montecarlo._bridge_normals) as draws:
         filled = _inner_positions(cfg, run, *ends, steps, range(n)).reshape(n, -1)
     assert draws.called == (qx > 0.0)
@@ -371,7 +380,7 @@ def test_flagged_chords_hold_every_crossing(preset):
 
     def crossings():
         rngs = [_traj_rng(cfg.seed, j) for j in ids]
-        return _stream_crossings(cfg, _initial_states(cfg, rngs), rngs, ids, _step_kernel(cfg))
+        return _stream_crossings(cfg, _initial_states(cfg, rngs), rngs, ids, _pieces(cfg))
 
     def every_chord(config, p, xs, k0):
         return np.ones((len(xs) - 1, xs.shape[1]), dtype=bool)
@@ -684,10 +693,15 @@ class TestTtcMonteCarlo:
         assert edges[hit] <= 5.0 <= edges[hit + 1]
         assert result["right_counts"].sum() == 0
 
-    @pytest.mark.parametrize("preset", ["front", "front-right"])
-    def test_matches_campaign_first_entries(self, preset):
-        """Without noise, the root rule and the chord detector bin the same entries."""
-        cfg = ttc_config(preset_config(preset, n_traj=4096))
+    @pytest.mark.parametrize(
+        "preset, horizon",
+        [("front", 8.0), ("front-right", 8.0), ("front", 3.65), ("front-right", 3.65)],
+        ids=["front", "front-right", "front-3.65", "front-right-3.65"],
+    )
+    def test_matches_campaign_first_entries(self, preset, horizon):
+        """Without noise, the root rule and the chord detector bin the same
+        entries, also where the horizon ends inside a coarse step (3.65 s)."""
+        cfg = ttc_config(preset_config(preset, n_traj=4096, horizon=horizon))
         ttc = ttc_monte_carlo(cfg)
         first = run_campaign(cfg).histogram.first_entry_counts
         for side in ("front", "right"):
