@@ -51,7 +51,8 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
 class GaussianDensity:
     """Mean vector and covariance matrix of an N-dimensional Gaussian.
 
-    `_psd_slack` (not stored) widens the PSD check by a known rounding bound.
+    `_psd_slack` (not stored), a known rounding bound on each entry, widens
+    the PSD check by that much and the symmetry check, of C_ij - C_ji, by twice it.
     """
 
     mean: np.ndarray
@@ -70,7 +71,8 @@ class GaussianDensity:
             raise ValueError(
                 f"mean must be finite and covariance entries at most {_MAX_ENTRY:.3g} in size"
             )
-        if (cov - cov.T).max() > _SYM_RTOL * max(scale, 1.0):  # antisymmetric: max = max |.|
+        # antisymmetric: max = max |.|
+        if (cov - cov.T).max() > _SYM_RTOL * max(scale, 1.0) + 2.0 * _psd_slack:
             raise ValueError("covariance is not symmetric")
         cov = symmetrize(cov)
         min_eig = _eigvalsh(cov)[0]
@@ -138,11 +140,11 @@ def condition(g: GaussianDensity, given, values) -> GaussianDensity:
     # M = sig_mm, n = g.dim).  The Cholesky solve is exact for some M + dM,
     # |dM| = O(n^2 eps |M|) (Higham, Accuracy and Stability, Thm 10.4), which
     # moves S by B M^-1 dM M^-1 B^T; B M^-1 B^T <= A gives |B M^-1|^2 <=
-    # |A| / lambda_min(M), so |dS| <~ n^2 eps cond(M) tr A.  The PSD check
-    # allows that much; the asymmetry, of that order, is averaged out here.
+    # |A| / lambda_min(M), so |dS| <~ n^2 eps cond(M) tr A, on S_ij and S_ji
+    # alike.  The density allows that much, and symmetrizes S once.
     slack = g.dim**2 * _EPS * cond * sum(blocks[:k, :k].diagonal().tolist())
     try:
-        return GaussianDensity(mean, symmetrize(blocks[:k, :k] - sig_rm @ x[:, 1:]), slack)
+        return GaussianDensity(mean, blocks[:k, :k] - sig_rm @ x[:, 1:], slack)
     except ValueError as exc:  # e.g. the solve overflowed on a tiny but normal block
         raise NumericsError(f"conditional density is invalid: {exc}") from None
 

@@ -15,7 +15,8 @@ trajectory count.
 
 A campaign samples the fine path, the states at multiples of sim_step,
 but propagates each batch on coarse steps of _COARSE fine steps, with the
-exact transition, noise and input increment of the coarse step; it runs
+exact transition, noise and input increment of the coarse step (a zero
+increment with the input off: every model runs the same code); it runs
 to the end of the coarse step that holds the horizon and drops the
 crossings past it.  A coarse chord is refined only where its bounding
 box, grown on each axis by the largest deviation of its bridge mean (the
@@ -38,7 +39,8 @@ and the counts, do not depend on batching, step chunking or worker
 count.  Trajectory j draws its initial state and its coarse-step noise
 from the stream keyed (seed, j); the inner states of its coarse step k
 come from the stream keyed (seed, 2**63 + j) from counter (0, k, 0, 0),
-drawn only for the chords that are refined.
+drawn only for the chords that are refined, and not at all without
+process noise.
 """
 from __future__ import annotations
 
@@ -195,18 +197,19 @@ class _Pieces(NamedTuple):
     column 2 (i - 1) + axis of every (…, _INNER) piece is inner time i's
     position on that axis.  Given a chord's two end states, its inner
     positions are the chord, plus the bridge mean's deviation from the
-    chord (dev, dev_u), plus the bridge noise z @ noise_t.
+    chord (dev, dev_u), plus the bridge noise z @ noise_t.  Only noise_t
+    is ever None: without process noise no bridge normals are drawn.
     """
 
     n: int  # coarse steps, ⌈n_steps / _COARSE⌉: the last may end past the horizon
     phi_t: np.ndarray  # (6, 6) Φ(_COARSE dt)ᵀ, C-contiguous: x @ phi_t is then 3x faster
     chol_q_t: np.ndarray  # (6, 6) Lᵀ with L Lᵀ = Q(_COARSE dt)
-    u: np.ndarray | None  # (n, 6) input increment of each coarse step; None with the input off
+    u: np.ndarray  # (n, 6) input increment of each coarse step; zero with the input off
     # (6 _COARSE, _INNER) bridge noise at the inner positions, from the chord's
     # _COARSE x 6 fine-step normals; None without process noise
     noise_t: np.ndarray | None
     dev: np.ndarray  # (2, _INNER, 6) bridge mean less the chord, from the start and the end
-    dev_u: np.ndarray | None  # (n, _INNER) its input part
+    dev_u: np.ndarray  # (n, _INNER) its input part
     reach: np.ndarray  # (2,) _SIGMAS sd of the bridge noise per axis, plus _SLACK
 
 
@@ -247,14 +250,11 @@ def _pieces(config: ScenarioConfig) -> _Pieces:
         noise_t = free[:, inner] - free[:, 6 * m - 6 :] @ gain_t
         sd = np.linalg.norm(noise_t, axis=0).reshape(m - 1, 2).max(axis=0)
 
-    u = dev_u = None
-    if model.input_enabled:
-        starts = np.arange(n) * m * dt
-        u = np.array([input_increment(m * dt, model, t0) for t0 in starts])
-        u_inner = np.array(
-            [np.ravel([input_increment(i * dt, model, t0)[:2] for i in range(1, m)]) for t0 in starts]
-        )
-        dev_u = u_inner - u @ gain_t
+    starts = np.arange(n) * m * dt
+    u = np.array([input_increment(m * dt, model, t0) for t0 in starts])
+    u_inner = np.array(
+        [np.ravel([input_increment(i * dt, model, t0)[:2] for i in range(1, m)]) for t0 in starts]
+    )
     return _Pieces(
         n=n,
         phi_t=np.ascontiguousarray(phi[m].T),
@@ -262,7 +262,7 @@ def _pieces(config: ScenarioConfig) -> _Pieces:
         u=u,
         noise_t=noise_t,
         dev=dev,
-        dev_u=dev_u,
+        dev_u=u_inner - u @ gain_t,
         reach=_SIGMAS * sd + _SLACK,
     )
 
@@ -284,8 +284,7 @@ def _near(config: ScenarioConfig, p: _Pieces, xs: np.ndarray, k0: int) -> np.nda
         np.matmul(p.dev[1], xs[i + 1].T, out=d[1])
         dev = d[0]
         dev += d[1]
-        if p.dev_u is not None:
-            dev += p.dev_u[k0 + i, :, np.newaxis]
+        dev += p.dev_u[k0 + i, :, np.newaxis]
         np.abs(dev, out=dev)
         grow = dev.reshape(_COARSE - 1, 2, b).max(axis=0).T + p.reach
         p0, p1 = xs[i, :, :2], xs[i + 1, :, :2]
@@ -305,8 +304,7 @@ def _inner_positions(config, p: _Pieces, start, end, steps, traj_ids) -> np.ndar
     reps = _COARSE - 1
     inner = np.tile(start[:, :2], reps) * (1.0 - _FRAC) + np.tile(end[:, :2], reps) * _FRAC
     inner += start @ p.dev[0].T + end @ p.dev[1].T
-    if p.dev_u is not None:
-        inner += p.dev_u[steps]
+    inner += p.dev_u[steps]
     if p.noise_t is not None:
         z = np.empty((len(start), 6 * _COARSE))
         _bridge_normals(config.seed, traj_ids, steps.tolist(), z)
@@ -361,8 +359,7 @@ def _coarse_states(p: _Pieces, x: np.ndarray, rngs: list[np.random.Generator]):
         np.matmul(z[:, :k], p.chol_q_t, out=w[:, :k])
         for i in range(k):
             x = x @ p.phi_t
-            if p.u is not None:
-                x += p.u[k0 + i]
+            x += p.u[k0 + i]
             x += w[:, i]
             xs[i + 1] = x
         yield k0, xs[: k + 1]
@@ -424,9 +421,6 @@ def _simulate_batch(config: ScenarioConfig, traj_ids: range, p: _Pieces):
 
     first = np.ones(len(row), dtype=bool)
     first[1:] = row[1:] != row[:-1]
-    if config.terminate_on_entry:
-        row, seg, t = row[first], seg[first], t[first]
-        first = first[first]
     bins = _bins(t, config)
     # first entry of each trajectory through each segment
     _, seg_first = np.unique(row * n_seg + seg, return_index=True)
@@ -478,7 +472,6 @@ def run_campaign(config: ScenarioConfig, threads: int = 1) -> CampaignResult:
 
     Trajectories continue past their first entry so higher-order entries
     are observable; first-entry statistics are extracted afterwards.
-    With terminate_on_entry only each trajectory's first entry counts.
     The batches run in min(threads, number of batches) worker processes;
     the result does not depend on that number.
     """
@@ -536,16 +529,12 @@ def ttc_config(config: ScenarioConfig) -> ScenarioConfig:
     """The config of the TTC study, which propagates each draw deterministically.
 
     Resolves P0 first, so the filter-derived initial spread is kept, then
-    zeroes the trajectory noise and the input's gains; a config that has
-    neither is returned as is.
+    zeroes the trajectory noise and the input's gains.
     """
-    model = config.model
-    if not (model.input_enabled or model.qx > 0.0 or model.qy > 0.0):
-        return config
     return dataclasses.replace(
         config,
         initial_cov=config.resolve_initial_cov(),
-        model=dataclasses.replace(model, qx=0.0, qy=0.0, b1=0.0, b2=0.0),
+        model=dataclasses.replace(config.model, qx=0.0, qy=0.0, b1=0.0, b2=0.0),
     )
 
 

@@ -44,13 +44,14 @@ class ScenarioConfig:
     bin_width: float = 0.05
     n_traj: int = 100_000
     seed: int = 0
-    terminate_on_entry: bool = False
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ConfigError("must be > 0", "scenario.horizon")
         if self.sim_step <= 0:
             raise ConfigError("must be > 0", "scenario.sim_step")
+        if self.bin_width <= 0:
+            raise ConfigError("must be > 0", "scenario.bin_width")
         if self.sim_step > self.bin_width:
             raise ConfigError("must be <= bin_width", "scenario.sim_step")
         if self.n_traj < 1:
@@ -153,12 +154,6 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _flag(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"expected true or false, got {value!r}", path)
-    return value
-
-
 def _vector(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 6:
         raise ConfigError(f"expected a list of 6 numbers, got {value!r}", path)
@@ -206,7 +201,6 @@ _SCENARIO = {
     "bin_width": _number,
     "n_traj": _integer,
     "seed": _integer,
-    "terminate_on_entry": _flag,
 }
 _INPUT = dict.fromkeys(("b1", "b2", "omega"), _number)
 _MODEL = {"qx": _number, "qy": _number, "input": lambda value, path: _parse(value, path, _INPUT)}

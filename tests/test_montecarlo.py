@@ -285,12 +285,6 @@ class TestRunCampaign:
         assert frac["left"] == 0.0
         assert frac["rear"] == 0.0
 
-    def test_terminate_on_entry_cuts_events(self):
-        cfg = preset_config("front", n_traj=3000, terminate_on_entry=True)
-        res = run_campaign(cfg)
-        # no trajectory can record more than one entry
-        assert all(k == 1 for k in res.entry_stats["multiplicity_counts"])
-
     def test_empirical_moments_match_prediction(self):
         """The module's own coarse states at t = 3 s, and its bridge-filled
         positions at t = 3.05 s, against the analytic predicted density."""
@@ -422,8 +416,6 @@ def counts_from_records(cfg):
         entries = [
             (time, SEGMENT_ORDER[seg]) for time, seg, entry in zip(t, c.segment, c.entry) if entry
         ]
-        if cfg.terminate_on_entry:
-            entries = entries[:1]
         if not entries:
             continue
         multiplicity[len(entries)] += 1
@@ -447,6 +439,10 @@ WEAVING = dict(
 )
 
 
+# the front preset's mean with neither process noise nor input, from a fixed P0
+NO_NOISE = dict(model=CA_MODEL, initial_cov=np.diag([0.5, 0.3, 0.2, 0.1, 0.05, 0.05]))
+
+
 class TestCountPathMatchesEventPath:
     """run_campaign's in-place counts equal per-crossing counts of each trajectory."""
 
@@ -456,10 +452,11 @@ class TestCountPathMatchesEventPath:
             ("front", {}, 1),
             ("front-right", {}, 2),
             ("front", WEAVING, 1),
-            ("front", {**WEAVING, "terminate_on_entry": True}, 2),
+            ("front", {"model": MotionModel(qx=0.0101, qy=0.0101)}, 2),
+            ("front", NO_NOISE, 1),
             ("front", {**WEAVING, "horizon": 2.46, "sim_step": 0.05}, 1),
         ],
-        ids=["front", "front-right", "re-entries", "terminate-on-entry", "partial-last-step"],
+        ids=["front", "front-right", "re-entries", "input-off", "no-noise", "partial-last-step"],
     )
     def test_parity(self, preset, overrides, threads):
         cfg = preset_config(preset, n_traj=48, seed=31, **overrides)
@@ -590,16 +587,14 @@ def test_campaign_memory_does_not_grow_with_batch_count():
     step_chunk=st.integers(1, 9),
     n_traj=st.integers(1, 12),
     threads=st.integers(1, 3),
-    terminate=st.booleans(),
 )
-def test_results_independent_of_batching(batch_size, step_chunk, n_traj, threads, terminate):
+def test_results_independent_of_batching(batch_size, step_chunk, n_traj, threads):
     cfg = preset_config(
         "front",
         n_traj=n_traj,
         horizon=3.1,
         sim_step=0.02,
         seed=5,
-        terminate_on_entry=terminate,
         **WEAVING,
     )
     reference = run_campaign(cfg)

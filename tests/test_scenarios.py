@@ -193,7 +193,6 @@ FULL = {
         "bin_width": 0.1,
         "n_traj": 3000,
         "seed": 77,
-        "terminate_on_entry": True,
     },
     "model": {
         "qx": 0.02,
@@ -221,7 +220,6 @@ def with_value(path: str, value) -> dict:
     return raw
 
 
-FLAGS = ["scenario.terminate_on_entry"]
 NUMBERS = [
     f"{section}.{key}"
     for section in SECTIONS
@@ -245,9 +243,8 @@ def rejection_cases():
         yield f"{section}.bogus", 1.0, f"{section}.bogus"
         yield section, 5, section
         yield section, [1.0], section
-    for path in FLAGS:
-        yield path, "false", path
-        yield path, 1, path
+    for value in ("false", 1):  # campaigns count every entry: the key is unknown
+        yield "scenario.terminate_on_entry", value, "scenario.terminate_on_entry"
     yield "model.input.enabled", True, "model.input.enabled"  # no switch: the gains set it
     yield "model.input.omega", 0.0, "omega must be > 0"  # FULL's gains are non-zero
     for path in NUMBERS:
@@ -265,6 +262,7 @@ def rejection_cases():
     # a range error starts with the section.key, or with the section of a
     # model, radar or rect value, whose message names the field
     yield "scenario.horizon", 0.0, "scenario.horizon: must be > 0"
+    yield "scenario.bin_width", 0.0, "scenario.bin_width: must be > 0"
     yield "model.qx", -1.0, "model: jerk PSDs must be >= 0, got qx=-1.0"
     yield "radar.sigma_r", 0.0, "radar: sigma_r must be > 0"
     yield "rect.x_rear", 1.0, "rect: x_rear (1.0) must be < x_front (0.5)"
@@ -274,7 +272,7 @@ class TestSchema:
     def test_full_config_is_valid(self):
         cfg = build_config(FULL)
         assert (cfg.radar.sigma_phi, cfg.rect.x_rear, cfg.seed) == (0.01, -4.5, 77)
-        assert cfg.terminate_on_entry and cfg.model.input_enabled
+        assert cfg.model.input_enabled
 
     @pytest.mark.parametrize("path, value, named", list(rejection_cases()))
     def test_rejected_with_path(self, path, value, named):
@@ -314,7 +312,6 @@ FIELD_VALUES = {
     "scenario.bin_width": numbers(0.01, 2.0),
     "scenario.n_traj": st.integers(1, 10**6),
     "scenario.seed": st.integers(0, 2**64 - 1),
-    "scenario.terminate_on_entry": st.booleans(),
     "model.qx": numbers(0.0, 2.0),
     "model.qy": numbers(0.0, 2.0),
     "model.input.b1": numbers(-1.0, 1.0),
