@@ -151,6 +151,11 @@ def cmd_probability(args, config):
     curve = _curve(config, args, horizon)
     # a dense grid covers [t1, t2]; adaptive samples may cover only part of it
     first, last = curve.samples[0].t, curve.samples[-1].t
+    if len(curve.samples) < 2:
+        raise NumericsError(
+            f"the curve has {len(curve.samples)} sample, at {first:g} s; the window "
+            f"[{args.t1:g}, {args.t2:g}] s needs at least 2 to integrate"
+        )
     lo, hi = max(args.t1, first), min(args.t2, last)
     if lo > hi:
         raise NumericsError(

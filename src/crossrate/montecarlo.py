@@ -41,6 +41,16 @@ from the stream keyed (seed, j); the inner states of its coarse step k
 come from the stream keyed (seed, 2**63 + j) from counter (0, k, 0, 0),
 drawn only for the chords that are refined, and not at all without
 process noise.
+
+The initial-state map and the bridge fill's three products are np.einsum,
+not `@`, for two reasons.  A row's bits must not depend on how many rows
+share a product: einsum sums every row in one order, where BLAS chooses
+its blocking by the row count, which in the fill is the number of chords
+that a step chunk refines.  And no hot product in a worker may run on
+OpenBLAS helper threads, which would contend with the other workers for
+the cores.  Propagation and the coarse noise transform stay on `@`, about
+ten times faster there: they multiply by (6, 6) matrices, products small
+enough that OpenBLAS runs them on the calling thread.
 """
 from __future__ import annotations
 
@@ -76,7 +86,8 @@ _SLACK = 1e-9  # m added to every margin, so that rounding cannot drop a chord t
 _INNER = 2 * (_COARSE - 1)  # inner position coordinates of a coarse step
 _FRAC = np.repeat(np.arange(1, _COARSE) / _COARSE, 2)  # each one's fraction of the step
 # fork starts workers fast and carries the parent's state, module patches included;
-# OpenBLAS stops its threads before a fork, so the parent forks single-threaded
+# OpenBLAS stops its threads before a fork, so the parent forks single-threaded;
+# the bridge fill is einsum, so that a worker's products start no BLAS threads
 _MP_CONTEXT = multiprocessing.get_context("fork")
 
 
@@ -182,11 +193,17 @@ def _bin_edges(config: ScenarioConfig) -> np.ndarray:
 
 
 def _initial_states(config: ScenarioConfig, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Initial states (n, 6): row j is mean + F @ z, F F^T = P0, z drawn from rngs[j]."""
+    """Initial states (n, 6): row j is mean + F z, F F^T = P0, z drawn from rngs[j].
+
+    Each row's 6 normals come from its trajectory's own stream; one einsum
+    then maps all n rows, and row j's bits do not depend on n.
+    """
     mean = config.initial_mean.as_array()
     factor = psd_factor(config.resolve_initial_cov())
-    rows = (mean + factor @ rng.standard_normal(6) for rng in rngs)
-    return np.fromiter(rows, dtype=(float, 6))
+    z = np.fromiter((rng.standard_normal(6) for rng in rngs), dtype=(float, 6))
+    x = np.einsum("nk,jk->nj", z, factor)
+    x += mean  # in place: one (n, 6) array fewer at the peak of a TTC batch
+    return x
 
 
 class _Pieces(NamedTuple):
@@ -303,12 +320,12 @@ def _inner_positions(config, p: _Pieces, start, end, steps, traj_ids) -> np.ndar
     """
     reps = _COARSE - 1
     inner = np.tile(start[:, :2], reps) * (1.0 - _FRAC) + np.tile(end[:, :2], reps) * _FRAC
-    inner += start @ p.dev[0].T + end @ p.dev[1].T
+    inner += np.einsum("nk,ik->ni", start, p.dev[0]) + np.einsum("nk,ik->ni", end, p.dev[1])
     inner += p.dev_u[steps]
     if p.noise_t is not None:
         z = np.empty((len(start), 6 * _COARSE))
         _bridge_normals(config.seed, traj_ids, steps.tolist(), z)
-        inner += z @ p.noise_t
+        inner += np.einsum("nk,kj->nj", z, p.noise_t)
     return inner.reshape(len(start), reps, 2)
 
 

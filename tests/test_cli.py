@@ -263,6 +263,24 @@ class TestProbability:
         assert "numerical failure" in err and "window [7, 8] s" in err
         assert not out.exists()
 
+    def test_adaptive_one_sample_exit_3(self, tmp_path, capsys):
+        """A 0.5 s horizon holds one seed and no 0.5 s march step: one sample
+        cannot be integrated, a numerical failure like an unreached window."""
+        cfg = tmp_path / "cfg.yaml"
+        cov = [[0.01 if i == j else 0.0 for j in range(6)] for i in range(6)]
+        cfg.write_text(
+            "preset: front\n"
+            f"scenario: {{initial_mean: [2, 0, -6, 0, 0, 0], initial_cov: {cov}, horizon: 0.5}}\n"
+            "model: {qx: 0.1, qy: 0.1}\n"
+        )
+        out = tmp_path / "p"
+        argv = ["probability", "--config", str(cfg), "--adaptive", "--t2", "0.5"]
+        assert main([*argv, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the curve has 1 sample")
+        assert "window [0, 0.5] s" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTtc:
     def test_deterministic_single_bin(self, tmp_path):

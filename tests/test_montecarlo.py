@@ -389,6 +389,36 @@ def test_flagged_chords_hold_every_crossing(preset):
     np.testing.assert_allclose(flagged.fraction, every.fraction, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("preset", ["front", "front-right"])
+def test_rows_do_not_depend_on_the_call(preset):
+    """A chord's inner positions, and a trajectory's initial state, are the
+    same bits whatever other rows share the call: filled one at a time, in
+    two uneven parts or all at once."""
+    cfg = preset_config(preset, n_traj=1000, seed=23)
+    cfg = dataclasses.replace(cfg, initial_cov=cfg.resolve_initial_cov())
+    run = _pieces(cfg)
+    rngs = [_traj_rng(cfg.seed, j) for j in range(cfg.n_traj)]
+    k0, xs = next(_coarse_states(run, _initial_states(cfg, rngs), rngs))
+    pick = np.random.default_rng(5)
+    n = 3001
+    cols, rows = pick.integers(0, len(xs) - 1, n), pick.integers(0, cfg.n_traj, n)
+    chords = xs[cols, rows], xs[cols + 1, rows], k0 + cols, rows.tolist()
+
+    def fill(part):
+        return _inner_positions(cfg, run, *(c[part] for c in chords))
+
+    whole = fill(slice(None))
+    np.testing.assert_array_equal(np.concatenate([fill(slice(f, f + 1)) for f in range(n)]), whole)
+    np.testing.assert_array_equal(np.concatenate([fill(slice(0, 1234)), fill(slice(1234, n))]), whole)
+
+    def initial(ids):
+        return _initial_states(cfg, (_traj_rng(cfg.seed, j) for j in ids))
+
+    many = initial(range(4096))
+    for a, b in ((1000, 1001), (1000, 1007), (40, 3041)):
+        np.testing.assert_array_equal(initial(range(a, b)), many[a:b])
+
+
 def assert_same_campaign(a, b):
     assert a.entry_stats == b.entry_stats
     for counts in ("first_entry_counts", "all_entry_counts"):
