@@ -1,16 +1,19 @@
 """Command-line surface: run campaigns and analyses, emit CSV/JSON tables.
 
-Each `cmd_*` writes its data files and returns the config it ran, its
-output paths and any extra manifest fields; `main` alone then writes
-`manifest.json` next to the data files, recording the fully resolved
-configuration, seed, tool version, output paths, and wall-clock duration
-(campaigns add their worker count and peak memory, intensity curves their
-warning or null), so any output can be reproduced from its manifest alone.
-Intensity curves come from `probability.intensity_curve`,
-`intensity_evaluator` and `compare_curves`; `--adaptive` runs
-`adaptive_sample` at the paper's steps, which are `probability`'s
-constants and no flags.  Only the campaigns (`simulate`, `ttc`,
-`compare`) draw random numbers, so only they take `--seed` and
+Each `cmd_*` computes and writes nothing: it returns the config it ran,
+its data files as tables, and any extra manifest fields.  A `.csv` name
+maps to its columns, in order; a `.json` name maps to its payload.  `main`
+alone creates `--out-dir`, so a run that fails leaves no directory, and
+writes each table and then `manifest.json` through one writer.  The
+manifest records the fully resolved configuration, seed, tool version,
+each output's path keyed by its file's stem, and the wall-clock duration,
+data files included (campaigns add their worker count and peak memory,
+intensity curves their warning or null), so any output can be reproduced
+from its manifest alone.  Intensity curves come from
+`probability.intensity_curve`, `intensity_evaluator` and `compare_curves`;
+`--adaptive` runs `adaptive_sample` at the paper's steps, which are
+`probability`'s constants and no flags.  Only the campaigns (`simulate`,
+`ttc`, `compare`) draw random numbers, so only they take `--seed` and
 `--n-traj`.  Each option has one parser, its argparse type (`--offset`
 builds a `SalientOffset`), so a bad value exits 2 before any work.  All
 CSV numbers use locale-independent formatting with 9 significant digits.
@@ -55,19 +58,16 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write(path: Path, table) -> None:
+    """Write one table: a `.csv` name's columns, in order, or a `.json` name's payload."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n"
-            )
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        if path.suffix == ".json":
+            json.dump(table, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            return
+        fh.write(",".join(table) + "\n")
+        for row in zip(*table.values(), strict=True):
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
 def _resolve_config(args) -> ScenarioConfig:
@@ -76,12 +76,6 @@ def _resolve_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config is not None else preset_config(args.preset)
     overrides = {k: v for k in ("n_traj", "seed") if (v := getattr(args, k, None)) is not None}
     return dataclasses.replace(config, **overrides) if overrides else config
-
-
-def _output(args, name: str) -> Path:
-    """Path of one output file; creates the output directory on first use."""
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    return args.out_dir / name
 
 
 def _grid(horizon: float, dt: float) -> list[float]:
@@ -116,15 +110,8 @@ def cmd_simulate(args, config):
     columns.update((f"first_entry_rate_{k}", hist.first_entry_rate(k)) for k in keys)
     columns.update((f"all_entry_rate_{k}", hist.all_entry_rate(k)) for k in keys)
     columns["integrated_probability"] = hist.integrated_probability()
-    hist_path = _output(args, "histogram.csv")
-    _write_csv(hist_path, list(columns), zip(*columns.values()))
-    stats_path = _output(args, "statistics.json")
-    _write_json(stats_path, result.entry_stats)
-    return (
-        config,
-        {"histogram": str(hist_path), "statistics": str(stats_path)},
-        _campaign_fields(args, result),
-    )
+    tables = {"histogram.csv": columns, "statistics.json": result.entry_stats}
+    return config, tables, _campaign_fields(args, result)
 
 
 def cmd_intensity(args, config):
@@ -132,10 +119,8 @@ def cmd_intensity(args, config):
     columns = {"t_s": curve.times(), "mu_total": curve.values()}
     columns.update((f"mu_{n}", curve.segment_values(n)) for n in SEGMENT_ORDER)
     columns["method"] = [args.method] * curve.evaluations
-    curve_path = _output(args, "intensity.csv")
-    _write_csv(curve_path, list(columns), zip(*columns.values()))
     extra = {"evaluations_used": curve.evaluations} if args.adaptive else {}
-    return config, {"intensity": str(curve_path)}, {**extra, "warning": curve.warning}
+    return config, {"intensity.csv": columns}, {**extra, "warning": curve.warning}
 
 
 def cmd_probability(args, config):
@@ -163,55 +148,44 @@ def cmd_probability(args, config):
             f"the window [{args.t1:g}, {args.t2:g}] s"
         )
     bound = integrate_intensity(curve, lo, hi)
-    bound_path = _output(args, "probability.json")
-    _write_json(
-        bound_path,
-        {
-            "t1": args.t1,
-            "t2": args.t2,
-            "p_upper": bound.p_upper,
-            "p_capped": bound.p_capped,
-            "method": args.method,
-            "evaluations_used": curve.evaluations,
-        },
-    )
-    return config, {"probability": str(bound_path)}, {"warning": curve.warning}
+    payload = {
+        "t1": args.t1,
+        "t2": args.t2,
+        "p_upper": bound.p_upper,
+        "p_capped": bound.p_capped,
+        "method": args.method,
+        "evaluations_used": curve.evaluations,
+    }
+    return config, {"probability.json": payload}, {"warning": curve.warning}
 
 
 def cmd_ttc(args, config):
     config = ttc_config(config)
     result = ttc_monte_carlo(config)
     edges = result["bin_edges"]
-    rows = zip(
-        edges[:-1], 0.5 * (edges[:-1] + edges[1:]), result["front_rate"], result["right_rate"]
-    )
-    hist_path = _output(args, "ttc_histogram.csv")
-    _write_csv(hist_path, ["bin_start_s", "bin_mid_s", "front_rate", "right_rate"], rows)
-
+    columns = {
+        "bin_start_s": edges[:-1],
+        "bin_mid_s": 0.5 * (edges[:-1] + edges[1:]),
+        "front_rate": result["front_rate"],
+        "right_rate": result["right_rate"],
+    }
     seeds = deterministic_ttc_seeds(config.initial_mean, config.rect)
-    seeds_path = _output(args, "ttc_seeds.json")
-    _write_json(
-        seeds_path,
-        {"seeds": [{"segment": name, "t_s": t} for name, t in seeds]},
-    )
-    return config, {"ttc_histogram": str(hist_path), "ttc_seeds": str(seeds_path)}, {}
+    payload = {"seeds": [{"segment": name, "t_s": t} for name, t in seeds]}
+    return config, {"ttc_histogram.csv": columns, "ttc_seeds.json": payload}, {}
 
 
 def cmd_salient(args, config):
     offsets = args.offset or [SalientOffset(0.0, 0.0)]  # not a default: append would add to it
     ts = _grid(config.horizon, args.dt)
-    per_offset = [[] for _ in offsets]
+    per_offset = [{"t_s": ts, **{f"mu_total_{m}": [] for m in METHODS}} for _ in offsets]
     for t in ts:
         g = config.predicted_density(t)  # predicted once, transformed per offset
-        for off, rows in zip(offsets, per_offset):
+        for off, columns in zip(offsets, per_offset):
             g_s = salient_transform_density(g, off, config.model, t)
-            rows.append([t] + [total_intensity(g_s, config.rect, t, m).mu_plus for m in METHODS])
-    outputs = {}
-    for idx, rows in enumerate(per_offset):
-        path = _output(args, f"salient_{idx}.csv")
-        _write_csv(path, ["t_s"] + [f"mu_total_{m}" for m in METHODS], rows)
-        outputs[f"salient_{idx}"] = str(path)
-    return config, outputs, {"offsets": [[o.dx_body, o.dy_body] for o in offsets]}
+            for m in METHODS:
+                columns[f"mu_total_{m}"].append(total_intensity(g_s, config.rect, t, m).mu_plus)
+    tables = {f"salient_{i}.csv": columns for i, columns in enumerate(per_offset)}
+    return config, tables, {"offsets": [[o.dx_body, o.dy_body] for o in offsets]}
 
 
 def cmd_compare(args, config):
@@ -220,24 +194,12 @@ def cmd_compare(args, config):
     ts = [round(float(t), 12) for t in hist.bin_mid]
     curves, overlap = compare_curves(config, ts)
     ttc = ttc_monte_carlo(ttc_config(config))
-
-    rows = zip(
-        hist.bin_mid,
-        hist.first_entry_rate("total"),
-        *(curves[m].values() for m in METHODS),
-        overlap,
-        ttc["front_rate"],
-        ttc["right_rate"],
-    )
-    path = _output(args, "compare.csv")
-    _write_csv(
-        path,
-        ["t_s", "mc_first_entry_rate"]
-        + [f"mu_{m}" for m in METHODS]
-        + ["spatial_overlap", "ttc_front_rate", "ttc_right_rate"],
-        rows,
-    )
-    return config, {"compare": str(path)}, _campaign_fields(args, result)
+    columns = {"t_s": hist.bin_mid, "mc_first_entry_rate": hist.first_entry_rate("total")}
+    columns.update((f"mu_{m}", curves[m].values()) for m in METHODS)
+    columns["spatial_overlap"] = overlap
+    columns["ttc_front_rate"] = ttc["front_rate"]
+    columns["ttc_right_rate"] = ttc["right_rate"]
+    return config, {"compare.csv": columns}, _campaign_fields(args, result)
 
 
 def _add_common(p: argparse.ArgumentParser, campaign=False, threads=False):
@@ -346,7 +308,13 @@ def main(argv=None) -> int:
         parser.error(f"need 0 <= --t1 <= --t2 < inf, got {args.t1} and {args.t2}")
     try:
         started = time.monotonic()
-        config, outputs, extra = args.fn(args, _resolve_config(args))
+        config, tables, extra = args.fn(args, _resolve_config(args))
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        outputs = {}
+        for name, table in tables.items():
+            path = args.out_dir / name
+            _write(path, table)
+            outputs[path.stem] = str(path)
         manifest = {
             "command": args.command,
             "config": config_as_dict(config),
@@ -356,8 +324,8 @@ def main(argv=None) -> int:
             "duration_s": round(time.monotonic() - started, 6),
             **extra,
         }
-        manifest_path = _output(args, "manifest.json")
-        _write_json(manifest_path, manifest)
+        manifest_path = args.out_dir / "manifest.json"
+        _write(manifest_path, manifest)
         print(f"wrote {', '.join(outputs.values())}, {manifest_path}")
         return 0
     except (ConfigError, DomainError) as exc:  # a DomainError comes from the scenario itself

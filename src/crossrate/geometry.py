@@ -115,19 +115,21 @@ def segments(rect: HostRectangle) -> tuple[BoundarySegment, ...]:
 
 
 def to_segment_frame(g: GaussianDensity, seg: BoundarySegment) -> GaussianDensity:
-    """Rotate a 4-dim (x, y, xdot, ydot) density into the segment frame.
+    """Rotate the (x, y, xdot, ydot) block of a density into the segment frame.
 
+    The density is 4-dim (x, y, xdot, ydot) or the 6-dim state, whose first
+    four coordinates are those; the result is their 4-dim marginal, rotated.
     In the segment frame the boundary sits at x' = frame_boundary_offset()
-    with tangent interval frame_interval(), and inward motion has
-    negative x'-velocity, exactly as for the front boundary.
+    with tangent interval frame_interval(), and inward motion has negative
+    x'-velocity, exactly as for the front boundary.
     """
-    if g.dim != 4:
-        raise ValueError(f"expected a 4-dim (x, y, xdot, ydot) density, got {g.dim}")
+    if g.dim not in (4, 6):
+        raise ValueError(f"expected a 4- or 6-dim (x, y, xdot, ydot, ...) density, got dim {g.dim}")
     rot = seg.frame_rotation()
-    t = np.zeros((4, 4))
+    t = np.zeros((4, g.dim))
     t[:2, :2] = rot
-    t[2:, 2:] = rot
-    return GaussianDensity(t @ g.mean, t @ g.cov @ t.T)  # t signs and permutes: exact
+    t[2:, 2:4] = rot
+    return GaussianDensity(t @ g.mean, t @ g.cov @ t.T)  # t selects, signs and permutes: exact
 
 
 class ChordCrossings(NamedTuple):

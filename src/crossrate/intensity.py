@@ -23,7 +23,6 @@ from .gaussian import (
     GaussianDensity,
     bivariate_normal_cdf,
     condition,
-    marginalize,
     normal_cdf,
     normal_pdf,
 )
@@ -77,14 +76,15 @@ class _BoundaryConditional:
 
 
 def _boundary_conditional(
-    g4: GaussianDensity, seg: BoundarySegment
+    g: GaussianDensity, seg: BoundarySegment
 ) -> _BoundaryConditional:
-    """Rotate to the segment frame and condition on the boundary line.
+    """Rotate g's (x, y, xdot, ydot) block to the segment frame and condition
+    on the boundary line.
 
     The conditional is over (y, xdot, ydot) given x = x0; its (y, xdot)
     block is read off in the (xdot, y) ordering below.
     """
-    gf = to_segment_frame(g4, seg)
+    gf = to_segment_frame(g, seg)
     x0 = seg.frame_boundary_offset()
     y_lo, y_hi = seg.frame_interval()
     var_x = float(gf.cov[0, 0])
@@ -106,7 +106,7 @@ def _boundary_conditional(
     )
 
 
-def segment_intensity_quadrature(g4: GaussianDensity, seg: BoundarySegment) -> float:
+def segment_intensity_quadrature(g: GaussianDensity, seg: BoundarySegment) -> float:
     """Entry intensity from the exact integrand, evaluated in closed form.
 
     With V = xdot and Y = y given x = x0, Stein's lemma gives
@@ -120,7 +120,7 @@ def segment_intensity_quadrature(g4: GaussianDensity, seg: BoundarySegment) -> f
     the name of the 2D quadrature it replaced for the CLI and the CSV
     columns.
     """
-    bc = _boundary_conditional(g4, seg)
+    bc = _boundary_conditional(g, seg)
     sig1 = math.sqrt(bc.s11)
     sig2 = math.sqrt(bc.s22)
     rho = bc.s12 / (sig1 * sig2)
@@ -166,18 +166,18 @@ def _zeroth_order(mu1, sig1, mu2, sig2, y_lo, y_hi) -> float:
     return vel_part * lat_part
 
 
-def segment_intensity_taylor0(g4: GaussianDensity, seg: BoundarySegment) -> float:
+def segment_intensity_taylor0(g: GaussianDensity, seg: BoundarySegment) -> float:
     """Zeroth-order closed form (inverse-covariance expansion)."""
-    bc = _boundary_conditional(g4, seg)
+    bc = _boundary_conditional(g, seg)
     sig1 = math.sqrt(bc.det / bc.s22)
     sig2 = math.sqrt(bc.det / bc.s11)
     integral = _zeroth_order(bc.mu1, sig1, bc.mu2, sig2, bc.y_lo, bc.y_hi)
     return _clamp(-bc.pdf_x0 * integral)
 
 
-def segment_intensity_taylor1_inv(g4: GaussianDensity, seg: BoundarySegment) -> float:
+def segment_intensity_taylor1_inv(g: GaussianDensity, seg: BoundarySegment) -> float:
     """First-order expansion in the off-diagonal of the inverse covariance."""
-    bc = _boundary_conditional(g4, seg)
+    bc = _boundary_conditional(g, seg)
     st11 = bc.det / bc.s22
     st22 = bc.det / bc.s11
     sig1 = math.sqrt(st11)
@@ -193,9 +193,9 @@ def segment_intensity_taylor1_inv(g4: GaussianDensity, seg: BoundarySegment) -> 
     return _clamp(-bc.pdf_x0 * integral)
 
 
-def segment_intensity_taylor1_cov(g4: GaussianDensity, seg: BoundarySegment) -> float:
+def segment_intensity_taylor1_cov(g: GaussianDensity, seg: BoundarySegment) -> float:
     """First-order expansion in the off-diagonal covariance element."""
-    bc = _boundary_conditional(g4, seg)
+    bc = _boundary_conditional(g, seg)
     sig1 = math.sqrt(bc.s11)
     sig2 = math.sqrt(bc.s22)
     integral = _zeroth_order(bc.mu1, sig1, bc.mu2, sig2, bc.y_lo, bc.y_hi)
@@ -216,13 +216,13 @@ _SEGMENT_METHODS = {
 
 
 def segment_intensity(
-    g4: GaussianDensity, seg: BoundarySegment, method: str = "quadrature"
+    g: GaussianDensity, seg: BoundarySegment, method: str = "quadrature"
 ) -> float:
     try:
         fn = _SEGMENT_METHODS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
-    return fn(g4, seg)
+    return fn(g, seg)
 
 
 def total_intensity(
@@ -231,9 +231,9 @@ def total_intensity(
     t: float = 0.0,
     method: str = "quadrature",
 ) -> RateSample:
-    """Total entry intensity: marginalize to (x, y, xdot, ydot) and sum sides."""
+    """Total entry intensity: the sum over the sides, each of which rotates
+    the (x, y, xdot, ydot) block of the predicted density into its frame."""
     if g6.dim != 6:
         raise ValueError(f"expected a 6-dim predicted density, got {g6.dim}")
-    g4 = marginalize(g6, (0, 1, 2, 3))
-    per = {seg.name: segment_intensity(g4, seg, method) for seg in segments(rect)}
+    per = {seg.name: segment_intensity(g6, seg, method) for seg in segments(rect)}
     return RateSample(t, per)

@@ -455,6 +455,30 @@ class TestCompare:
         assert len(calls) == len(set(calls)) == len(rows) == 40
 
 
+SMALL_RUNS = [  # each command on a small config, and the data files it writes
+    (["simulate", *FRONT_SMALL], ["histogram.csv", "statistics.json"]),
+    (["intensity", "--preset", "front", "--dt", "4"], ["intensity.csv"]),
+    (["probability", "--preset", "front", "--dt", "0.5", "--t2", "2"], ["probability.json"]),
+    (["ttc", "--preset", "front-right", "--n-traj", "64"], ["ttc_histogram.csv", "ttc_seeds.json"]),
+    (
+        ["salient", "--preset", "front", "--dt", "4", "--offset", "2,1", "--offset=-4,-0.9"],
+        ["salient_0.csv", "salient_1.csv"],
+    ),
+    (["compare", "--preset", "front", "--n-traj", "200"], ["compare.csv"]),
+]
+
+
+@pytest.mark.parametrize("argv, files", SMALL_RUNS, ids=[argv[0] for argv, _ in SMALL_RUNS])
+def test_out_dir_holds_the_outputs_and_the_manifest(tmp_path, argv, files):
+    """The output directory holds exactly the manifest and the data files it
+    names, each keyed by its file's stem."""
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == {Path(name).stem: str(out / name) for name in files}
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *files])
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("method", ["quadrature", "taylor0", "taylor1_inv", "taylor1_cov"])
     def test_degenerate_density_exit_3(self, tmp_path, method, capsys):
@@ -469,7 +493,7 @@ class TestErrorPaths:
         argv = ["probability", "--config", str(cfg), "--t2", "8", "--method", method]
         assert main([*argv, "--out-dir", str(tmp_path / "p")]) == 3
         assert "numerical failure" in capsys.readouterr().err
-        assert not (tmp_path / "p" / "probability.json").exists()
+        assert not (tmp_path / "p").exists()
 
     def test_worker_numerics_error_exit_3(self, tmp_path, monkeypatch, capsys):
         def failing(*args):
@@ -517,6 +541,7 @@ class TestErrorPaths:
         assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     AT_ORIGIN = "scenario:\n  initial_mean: [0, 0, -2, 0, 0, 0]"  # zero radar range
     STATIONARY = "scenario:\n  initial_mean: [10, 0, 0, 0, 0, 0]\nmodel:\n  input: {b1: 0, b2: 0}"

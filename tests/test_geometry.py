@@ -7,6 +7,8 @@ from crossrate import (
     GaussianDensity,
     HostRectangle,
     chord_crossings,
+    marginalize,
+    preset_config,
     segments,
     to_segment_frame,
 )
@@ -108,9 +110,23 @@ class TestSegmentFrame:
             np.testing.assert_allclose(t.T @ gf.mean, g.mean, atol=1e-12)
             np.testing.assert_allclose(t.T @ gf.cov @ t, g.cov, atol=1e-12)
 
+    @pytest.mark.parametrize("preset", ["front", "front-right"])
+    def test_six_dim_density_rotates_its_marginal(self, preset):
+        """A predicted 6-dim density maps to the same bits as its (x, y, xdot,
+        ydot) marginal, on every side and at every time."""
+        config = preset_config(preset)
+        for t in (0.0, 0.7, 2.5, 4.05, 8.0):
+            g6 = config.predicted_density(t)
+            g4 = marginalize(g6, (0, 1, 2, 3))
+            for seg in segments(config.rect):
+                a, b = to_segment_frame(g6, seg), to_segment_frame(g4, seg)
+                np.testing.assert_array_equal(a.mean, b.mean)
+                np.testing.assert_array_equal(a.cov, b.cov)
+
     def test_rejects_wrong_dim(self):
-        with pytest.raises(ValueError):
-            to_segment_frame(GaussianDensity([0.0], [[1.0]]), segments(RECT)[0])
+        for dim in (1, 3, 5):
+            with pytest.raises(ValueError):
+                to_segment_frame(GaussianDensity(np.zeros(dim), np.eye(dim)), segments(RECT)[0])
 
 
 def crossing_list(p0, p1):

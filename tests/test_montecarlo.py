@@ -383,10 +383,8 @@ def test_flagged_chords_hold_every_crossing(preset):
     with mock.patch.object(montecarlo, "_near", every_chord):
         every = crossings()
     assert len(flagged.chord) > 0
-    for name in ("chord", "segment", "entry"):
+    for name in ("chord", "segment", "entry", "fraction"):
         np.testing.assert_array_equal(getattr(flagged, name), getattr(every, name))
-    # the same draws, but BLAS may round a product differently in a longer stack
-    np.testing.assert_allclose(flagged.fraction, every.fraction, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("preset", ["front", "front-right"])
