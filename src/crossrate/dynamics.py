@@ -84,6 +84,8 @@ class MotionModel:
             raise ValueError(f"jerk PSDs must be >= 0, got qx={self.qx}, qy={self.qy}")
         if self.input_enabled and not self.omega > 0:
             raise ValueError(f"omega must be > 0 when b1 or b2 is non-zero, got {self.omega}")
+        if not all(map(math.isfinite, (self.qx, self.qy, self.b1, self.b2, self.omega))):
+            raise ValueError(f"model parameters must be finite, got {self}")
 
     @property
     def input_enabled(self) -> bool:
@@ -91,9 +93,7 @@ class MotionModel:
         return self.b1 != 0.0 or self.b2 != 0.0
 
     def jerk_input(self, t: float) -> np.ndarray:
-        """Deterministic jerk u(t) in (x, y)."""
-        if not self.input_enabled:
-            return np.zeros(2)
+        """Deterministic jerk u(t) in (x, y); zero when both gains are zero."""
         s = math.sin(self.omega * t)
         return np.array([self.b1 * s, self.b2 * s])
 
@@ -216,10 +216,9 @@ def input_increment(dt: float, model: MotionModel, t0: float = 0.0) -> np.ndarra
     The integrals of b sin(omega s) through the integrator chain from
     absolute time t0 over a step of length dt: with t1 = t0 + dt, the
     increment of derivative order 2 - k is b int_t0^t1 (t1 - s)^k/k!
-    sin(omega s) ds = b (sin(omega t1) c_k - cos(omega t1) s_k).
+    sin(omega s) ds = b (sin(omega t1) c_k - cos(omega t1) s_k): zero with
+    both gains zero, and at dt = 0, where every weight c_k, s_k is zero.
     """
-    if not model.input_enabled or dt == 0.0:
-        return np.zeros(STATE_DIM)
     w = model.omega
     t1 = t0 + dt
     sin_t1 = math.sin(w * t1)

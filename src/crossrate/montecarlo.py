@@ -39,8 +39,8 @@ and the counts, do not depend on batching, step chunking or worker
 count.  Trajectory j draws its initial state and its coarse-step noise
 from the stream keyed (seed, j); the inner states of its coarse step k
 come from the stream keyed (seed, 2**63 + j) from counter (0, k, 0, 0),
-drawn only for the chords that are refined, and not at all without
-process noise.
+drawn only for the chords that are refined.  Every model draws the same
+normals: a zero gain or a zero PSD gives a zero term, not a separate path.
 
 The initial-state map and the bridge fill's three products are np.einsum,
 not `@`, for two reasons.  A row's bits must not depend on how many rows
@@ -102,6 +102,7 @@ class RateHistogram:
 
     @property
     def bin_width(self) -> float:
+        """The first bin's width: bin_width, or the horizon where that is shorter."""
         return float(self.bin_edges[1] - self.bin_edges[0])
 
     @property
@@ -109,7 +110,7 @@ class RateHistogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
     def rate(self, counts: np.ndarray) -> np.ndarray:
-        return counts / (self.n_traj * self.bin_width)
+        return _rate(counts, self.bin_edges, self.n_traj)
 
     def first_entry_rate(self, key: str = "total") -> np.ndarray:
         return self.rate(self.first_entry_counts[key])
@@ -188,8 +189,21 @@ def _bins(times: np.ndarray, config: ScenarioConfig) -> np.ndarray:
 
 
 def _bin_edges(config: ScenarioConfig) -> np.ndarray:
-    """The edges k * bin_width, k = 0 .. n_bins, of the bins _bins counts into."""
-    return np.arange(config.n_bins + 1) * config.bin_width
+    """The edges k * bin_width, k = 0 .. n_bins, of the bins _bins counts into;
+    the last is the horizon when that ends the last bin early."""
+    edges = np.arange(config.n_bins + 1) * config.bin_width
+    if config.horizon / config.bin_width < config.n_bins - 1e-9:  # n_bins' tolerance
+        edges[-1] = config.horizon
+    return edges
+
+
+def _rate(counts: np.ndarray, edges: np.ndarray, n: int) -> np.ndarray:
+    """Counts per trajectory and second: a full bin divides by bin_width =
+    edges[1] exactly, a last bin that the horizon cuts short by its span."""
+    width = np.full(len(counts), edges[1])
+    if edges[-1] < len(counts) * edges[1]:
+        width[-1] = edges[-1] - edges[-2]
+    return counts / (n * width)
 
 
 def _initial_states(config: ScenarioConfig, rngs: Iterable[np.random.Generator]) -> np.ndarray:
@@ -214,8 +228,7 @@ class _Pieces(NamedTuple):
     column 2 (i - 1) + axis of every (…, _INNER) piece is inner time i's
     position on that axis.  Given a chord's two end states, its inner
     positions are the chord, plus the bridge mean's deviation from the
-    chord (dev, dev_u), plus the bridge noise z @ noise_t.  Only noise_t
-    is ever None: without process noise no bridge normals are drawn.
+    chord (dev, dev_u), plus the bridge noise z @ noise_t.
     """
 
     n: int  # coarse steps, ⌈n_steps / _COARSE⌉: the last may end past the horizon
@@ -223,8 +236,8 @@ class _Pieces(NamedTuple):
     chol_q_t: np.ndarray  # (6, 6) Lᵀ with L Lᵀ = Q(_COARSE dt)
     u: np.ndarray  # (n, 6) input increment of each coarse step; zero with the input off
     # (6 _COARSE, _INNER) bridge noise at the inner positions, from the chord's
-    # _COARSE x 6 fine-step normals; None without process noise
-    noise_t: np.ndarray | None
+    # _COARSE x 6 fine-step normals; zero on an axis without process noise
+    noise_t: np.ndarray
     dev: np.ndarray  # (2, _INNER, 6) bridge mean less the chord, from the start and the end
     dev_u: np.ndarray  # (n, _INNER) its input part
     reach: np.ndarray  # (2,) _SIGMAS sd of the bridge noise per axis, plus _SLACK
@@ -255,17 +268,14 @@ def _pieces(config: ScenarioConfig) -> _Pieces:
         (inner_t - phi[m].T @ gain_t - on_axis * (1.0 - _FRAC), gain_t - on_axis * _FRAC)
     ).transpose(0, 2, 1).copy()
 
-    noise_t = None
-    sd = np.zeros(2)
-    if model.qx > 0.0 or model.qy > 0.0:
-        chol_t = psd_factor(process_noise_cov(dt, model)).T
-        free = np.zeros((6 * m, 6 * m))  # row block j: step j + 1's normals; column block i: time i + 1
-        for j in range(m):
-            for i in range(j, m):
-                free[6 * j : 6 * j + 6, 6 * i : 6 * i + 6] = chol_t @ phi[i - j].T
-        inner = [6 * i + a for i in range(m - 1) for a in (0, 1)]
-        noise_t = free[:, inner] - free[:, 6 * m - 6 :] @ gain_t
-        sd = np.linalg.norm(noise_t, axis=0).reshape(m - 1, 2).max(axis=0)
+    chol_t = psd_factor(process_noise_cov(dt, model)).T
+    free = np.zeros((6 * m, 6 * m))  # row block j: step j + 1's normals; column block i: time i + 1
+    for j in range(m):
+        for i in range(j, m):
+            free[6 * j : 6 * j + 6, 6 * i : 6 * i + 6] = chol_t @ phi[i - j].T
+    inner = [6 * i + a for i in range(m - 1) for a in (0, 1)]
+    noise_t = free[:, inner] - free[:, 6 * m - 6 :] @ gain_t
+    sd = np.linalg.norm(noise_t, axis=0).reshape(m - 1, 2).max(axis=0)
 
     starts = np.arange(n) * m * dt
     u = np.array([input_increment(m * dt, model, t0) for t0 in starts])
@@ -322,10 +332,9 @@ def _inner_positions(config, p: _Pieces, start, end, steps, traj_ids) -> np.ndar
     inner = np.tile(start[:, :2], reps) * (1.0 - _FRAC) + np.tile(end[:, :2], reps) * _FRAC
     inner += np.einsum("nk,ik->ni", start, p.dev[0]) + np.einsum("nk,ik->ni", end, p.dev[1])
     inner += p.dev_u[steps]
-    if p.noise_t is not None:
-        z = np.empty((len(start), 6 * _COARSE))
-        _bridge_normals(config.seed, traj_ids, steps.tolist(), z)
-        inner += np.einsum("nk,kj->nj", z, p.noise_t)
+    z = np.empty((len(start), 6 * _COARSE))
+    _bridge_normals(config.seed, traj_ids, steps.tolist(), z)
+    inner += np.einsum("nk,kj->nj", z, p.noise_t)
     return inner.reshape(len(start), reps, 2)
 
 
@@ -581,5 +590,5 @@ def ttc_monte_carlo(config: ScenarioConfig) -> dict:
     result = {"bin_edges": _bin_edges(config)}
     for seg, seg_counts in zip(sides, counts):
         result[f"{seg.name}_counts"] = seg_counts
-        result[f"{seg.name}_rate"] = seg_counts / (n * config.bin_width)
+        result[f"{seg.name}_rate"] = _rate(seg_counts, result["bin_edges"], n)
     return result

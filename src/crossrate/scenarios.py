@@ -77,6 +77,12 @@ class ScenarioConfig:
         # solved once per config; dataclasses.replace builds a new config
         cov = self.initial_cov
         if cov is None:
+            if not (self.model.qx > 0.0 and self.model.qy > 0.0):
+                raise ConfigError(
+                    "riccati needs qx > 0 and qy > 0: without process noise on an axis the "
+                    "filter has no steady state; give initial_cov as a 6x6 matrix",
+                    "scenario.initial_cov",
+                )
             cov = steady_state_covariance(self.initial_mean, self.model, self.radar)
         cov = cov.view()
         cov.setflags(write=False)

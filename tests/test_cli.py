@@ -512,6 +512,19 @@ class TestErrorPaths:
         assert "numerical failure: Riccati iteration did not converge" in capsys.readouterr().err
         assert not (tmp_path / "intensity.csv").exists()
 
+    @pytest.mark.parametrize("psds", ["{qx: 0}", "{qy: 0}", "{qx: 0, qy: 0}"])
+    @pytest.mark.parametrize("command", [["intensity"], ["simulate", "--n-traj", "16"], ["ttc"]])
+    def test_riccati_without_noise_exit_2(self, tmp_path, capsys, psds, command):
+        """The default P0 needs process noise on both axes: an axis without it is
+        refused at once, naming the field, before any output is written."""
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"preset: front\nmodel: {psds}\n")
+        assert main([*command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: scenario.initial_cov: riccati needs")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     # finite configs the loader accepts whose prediction overflows; PyYAML reads
     # 1e+62 as a string, so the exponents carry a decimal point
     HUGE_P0 = "scenario:\n  initial_cov: [%s]" % ", ".join(

@@ -211,17 +211,35 @@ class TestInputIncrement:
 
 class TestMotionModel:
     def test_input_is_on_exactly_when_a_gain_is_non_zero(self):
+        """With both gains zero the input's terms are zero on the one code path
+        every model runs, whatever the step, start or frequency; so is the
+        increment of a zero step with the input on."""
         assert not MotionModel(qx=1.0, qy=1.0, omega=0.5).input_enabled
         assert MotionModel(qx=1.0, qy=1.0, b2=-0.3, omega=0.5).input_enabled
-        np.testing.assert_array_equal(
-            dynamics.input_increment(1.0, MotionModel(qx=1.0, qy=1.0, omega=0.5), 0.0), 0.0
-        )
+        for omega in (0.0, 0.5):
+            off = MotionModel(qx=1.0, qy=1.0, omega=omega)
+            for dt in (0.0, 0.01, 1.0, 8.0):
+                for t0 in (0.0, 2.5):
+                    np.testing.assert_array_equal(dynamics.input_increment(dt, off, t0), 0.0)
+            for t in (0.0, 1.3, 7.0):
+                np.testing.assert_array_equal(off.jerk_input(t), 0.0)
+        for t0 in (0.0, 2.5):
+            np.testing.assert_array_equal(dynamics.input_increment(0.0, INPUT_MODEL, t0), 0.0)
 
     @pytest.mark.parametrize("omega", [0.0, -0.5, math.nan])
     def test_gain_needs_positive_omega(self, omega):
         with pytest.raises(ValueError, match="omega must be > 0"):
             MotionModel(qx=1.0, qy=1.0, b1=0.1, omega=omega)
-        MotionModel(qx=1.0, qy=1.0, omega=omega)  # no input, no frequency needed
+        if math.isfinite(omega):
+            MotionModel(qx=1.0, qy=1.0, omega=omega)  # no input, no frequency needed
+
+    @pytest.mark.parametrize("field", ["qx", "qy", "b1", "b2", "omega"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_parameters_must_be_finite(self, field, bad):
+        """No parameter may be NaN or infinite: every model runs the input's
+        code, so even with both gains zero a non-finite frequency reaches it."""
+        with pytest.raises(ValueError, match="must be finite"):
+            MotionModel(**{"qx": 1.0, "qy": 1.0, "omega": 0.5, field: bad})
 
 
 class TestPredictDensity:

@@ -334,8 +334,8 @@ def bridge_moments(model, start, end, t0, dt, m):
 def test_bridge_law(qx, qy):
     """With a chord's ends fixed, the filled positions have the analytic bridge
     mean and covariance, on the last coarse step, the 10 fine steps from
-    t = 3 s.  With qy = 0 the y block of Q is singular and the y positions
-    are the deterministic path; with no noise nothing is drawn."""
+    t = 3 s.  Every model draws its bridge normals; with qy = 0 the y block
+    of Q is singular and the y positions are the deterministic path."""
     model = MotionModel(qx=qx, qy=qy, b1=-0.2, b2=-0.3, omega=0.5)
     cfg = preset_config("front", model=model, n_traj=1, horizon=3.1)
     run = _pieces(cfg)
@@ -352,7 +352,7 @@ def test_bridge_law(qx, qy):
     steps = np.full(n, step)
     with mock.patch.object(montecarlo, "_bridge_normals", wraps=montecarlo._bridge_normals) as draws:
         filled = _inner_positions(cfg, run, *ends, steps, range(n)).reshape(n, -1)
-    assert draws.called == (qx > 0.0)
+    assert draws.called
     sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     assert np.all(np.abs(filled.mean(axis=0) - mean) <= 4 * sd / math.sqrt(n) + 1e-9)
     if qx > 0.0:
@@ -635,6 +635,22 @@ def test_results_independent_of_batching(batch_size, step_chunk, n_traj, threads
     assert ttc.keys() == ttc_reference.keys()
     for key in ttc:
         np.testing.assert_array_equal(ttc[key], ttc_reference[key])
+
+
+def test_last_bin_cut_by_the_horizon_divides_by_its_span():
+    """A path entering at 5.02 s under a 5.03 s horizon: the last bin covers
+    [5, 5.03] s, so its one entry is a rate of 1 / 0.03 per second in both
+    studies, not 1 / 0.05."""
+    cfg = straight_config(x0=10.04, horizon=5.03)
+    result = ttc_monte_carlo(cfg)
+    hist = run_campaign(cfg).histogram
+    for edges in (result["bin_edges"], hist.bin_edges):
+        assert len(edges) == 102 and edges[-1] == 5.03
+        np.testing.assert_array_equal(edges[:-1], np.arange(101) * 0.05)
+    for rate in (result["front_rate"], hist.first_entry_rate(), hist.all_entry_rate("front")):
+        assert np.count_nonzero(rate) == 1
+        assert rate[-1] == pytest.approx(1.0 / 0.03)
+    assert hist.bin_width == 0.05
 
 
 class TestTtcMonteCarlo:

@@ -391,6 +391,16 @@ class TestInitialCovAndSeed:
             preset_config("front", initial_cov=cov)
         assert exc.value.field == "scenario.initial_cov"
 
+    @pytest.mark.parametrize("psds", [{"qx": 0.0}, {"qy": 0.0}, {"qx": 0.0, "qy": 0.0}])
+    def test_riccati_needs_noise_on_both_axes(self, psds):
+        """The steady state needs process noise on each axis; the config builds,
+        as a zero-noise model with an explicit P0 may, and resolving P0 refuses it."""
+        cfg = preset_config("front")
+        cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, **psds))
+        with pytest.raises(ConfigError, match="qx > 0 and qy > 0") as exc:
+            cfg.resolve_initial_cov()
+        assert exc.value.field == "scenario.initial_cov"
+
     def test_asymmetric_cov_from_yaml(self, tmp_path):
         cov = np.eye(6)
         cov[0, 1] = 0.5
